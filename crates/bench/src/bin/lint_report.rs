@@ -10,8 +10,7 @@
 //! exits non-zero listing every violation.
 //!
 //! Usage: `cargo run -p malnet-bench --bin lint_report` from the
-//! workspace root. The older `source_lint` bin is a thin alias that
-//! runs the same rules without writing the artifact.
+//! workspace root.
 
 use std::path::Path;
 

@@ -10,7 +10,7 @@
 //! * **`--follow`**: tail the file, re-rendering as new complete lines
 //!   arrive, until the stream's `stream_end` line lands (the one place
 //!   in the workspace that legitimately sleeps on a wall clock; the
-//!   bench crate is `source_lint`'s clock-exempt zone). The tail is
+//!   bench crate is `lint_report`'s clock-exempt zone). The tail is
 //!   **stateful** ([`StreamTail`]): each tick reads only the bytes
 //!   appended since the last one and folds them incrementally, so a
 //!   long study costs O(stream) total instead of the old
@@ -42,6 +42,16 @@ struct Args {
     follow: bool,
 }
 
+/// Print `error` and the usage line, and exit 2.
+fn usage_error(error: &str) -> ! {
+    eprintln!(
+        "{error}\n\
+         usage: study_watch [--events PATH] [--report PATH] [--validate] \
+         [--stream-only] [--follow]"
+    );
+    std::process::exit(2)
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         events: "results/events.jsonl".to_string(),
@@ -52,20 +62,17 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
+        let mut path = || {
+            it.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a path")))
+        };
         match arg.as_str() {
-            "--events" => args.events = it.next().expect("--events needs a path"),
-            "--report" => args.report = it.next().expect("--report needs a path"),
+            "--events" => args.events = path(),
+            "--report" => args.report = path(),
             "--validate" => args.validate = true,
             "--stream-only" => args.stream_only = true,
             "--follow" => args.follow = true,
-            other => {
-                eprintln!(
-                    "unknown argument {other:?}\n\
-                     usage: study_watch [--events PATH] [--report PATH] [--validate] \
-                     [--stream-only] [--follow]"
-                );
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     args

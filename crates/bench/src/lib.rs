@@ -47,37 +47,39 @@ impl Default for RunOpts {
     }
 }
 
-/// Parse `--samples N --seed S --fast --fault-seed N` from argv.
+/// The common flags, as printed on a usage error.
+const USAGE: &str = "usage: [--samples N] [--seed S] [--fast] [--fault-seed N]";
+
+/// Parse `--samples N --seed S --fast --fault-seed N` from argv; on an
+/// unknown flag or a missing or malformed value, print the error and
+/// [`USAGE`] and exit 2.
 pub fn parse_args() -> RunOpts {
-    let mut opts = RunOpts::default();
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--samples" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.samples = v;
-                    i += 1;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.seed = v;
-                    i += 1;
-                }
-            }
-            "--fault-seed" => {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                    opts.fault_seed = Some(v);
-                    i += 1;
-                }
-            }
-            "--fast" => opts.fast = true,
-            _ => {}
-        }
-        i += 1;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_args_from(&args).unwrap_or_else(|e| {
+        eprintln!("{e}\n{USAGE}");
+        std::process::exit(2)
+    })
+}
+
+/// Parse the common flags from `args` (argv without the program name).
+pub fn parse_args_from(args: &[String]) -> Result<RunOpts, String> {
+    fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+        let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+        v.parse()
+            .map_err(|_| format!("{flag}: malformed value {v:?}"))
     }
-    opts
+    let mut opts = RunOpts::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--samples" => opts.samples = value(arg, it.next())?,
+            "--seed" => opts.seed = value(arg, it.next())?,
+            "--fault-seed" => opts.fault_seed = Some(value(arg, it.next())?),
+            "--fast" => opts.fast = true,
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(opts)
 }
 
 /// Generate the world and run the full pipeline once.
@@ -108,4 +110,58 @@ pub fn run_study(opts: &RunOpts) -> (World, Datasets, VendorDb) {
     };
     let (data, vendors) = Pipeline::new(popts).run(&world);
     (world, data, vendors)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<RunOpts, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_args_from(&args)
+    }
+
+    #[test]
+    fn every_flag_parses() {
+        let opts = parse(&[
+            "--samples",
+            "60",
+            "--seed",
+            "5",
+            "--fast",
+            "--fault-seed",
+            "9",
+        ])
+        .unwrap();
+        assert_eq!(opts.samples, 60);
+        assert_eq!(opts.seed, 5);
+        assert!(opts.fast);
+        assert_eq!(opts.fault_seed, Some(9));
+        let defaults = parse(&[]).unwrap();
+        assert_eq!((defaults.samples, defaults.seed), (1447, 22));
+        assert!(!defaults.fast && defaults.fault_seed.is_none());
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        let err = parse(&["--sample", "60"]).unwrap_err();
+        assert!(err.contains("--sample"), "{err}");
+        assert!(parse(&["60"]).is_err());
+    }
+
+    #[test]
+    fn missing_value_is_an_error() {
+        for flag in ["--samples", "--seed", "--fault-seed"] {
+            let err = parse(&["--fast", flag]).unwrap_err();
+            assert!(err.contains("needs a value"), "{err}");
+        }
+    }
+
+    #[test]
+    fn malformed_value_is_an_error() {
+        assert!(parse(&["--samples", "sixty"]).is_err());
+        assert!(parse(&["--seed", "-1"]).is_err());
+        // A flag is not a value.
+        assert!(parse(&["--samples", "--fast"]).is_err());
+    }
 }

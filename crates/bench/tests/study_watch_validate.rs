@@ -144,6 +144,25 @@ fn follow_tails_a_growing_stream_to_completion() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A flag missing its path, or an unknown flag, is a usage error: exit
+/// 2 with the usage line, not a panic.
+#[test]
+fn missing_path_or_unknown_flag_exits_2() {
+    for args in [
+        &["--events"][..],
+        &["--validate", "--report"],
+        &["--event", "x"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_study_watch"))
+            .args(args)
+            .output()
+            .expect("spawn study_watch");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: study_watch"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn pristine_stream_validates_against_its_report() {
     let dir = scratch("pristine");

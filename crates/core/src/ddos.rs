@@ -17,11 +17,11 @@
 //! flood traffic to the commanded target; a behavioural hit must find the
 //! target's bytes in the last command payload.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use malnet_protocols::profiler::C2Profiler;
-use malnet_protocols::{AttackCommand, Family};
+use malnet_protocols::{AttackCommand, AttackMethod, Family};
 use malnet_wire::packet::{Packet, Transport};
 
 use crate::datasets::DdosDetection;
@@ -49,6 +49,9 @@ pub struct ExtractedCommand {
 /// `c2_ip` is the (already attributed) C2 address of this session;
 /// `bot_ip` the sandboxed device; `family` the sample's label (profilers
 /// exist for Mirai/Gafgyt/Daddyl33t only, as in the paper).
+///
+/// The capture is walked once ([`CaptureScan`]); command verification
+/// and flood characterization are lookups in what that walk built.
 pub fn extract(
     packets: &[(u64, Packet)],
     bot_ip: Ipv4Addr,
@@ -56,31 +59,9 @@ pub fn extract(
     family: Option<Family>,
     pps_threshold: u64,
 ) -> Vec<ExtractedCommand> {
-    // --- reassemble C2→bot payload stream, keeping per-chunk timestamps ---
-    let mut c2_chunks: Vec<(u64, Vec<u8>)> = Vec::new();
-    for (ts, p) in packets {
-        if p.src == c2_ip && p.dst == bot_ip {
-            if let Transport::Tcp { payload, .. } = &p.transport {
-                if !payload.is_empty() {
-                    c2_chunks.push((*ts, payload.clone()));
-                }
-            }
-        }
-    }
-
-    // --- per-second, per-destination packet rates (non-C2 traffic) ---
-    let mut per_sec: BTreeMap<(u64, Ipv4Addr), u64> = BTreeMap::new();
-    for (ts, p) in packets {
-        if p.src == bot_ip && p.dst != c2_ip {
-            *per_sec.entry((ts / 1_000_000, p.dst)).or_insert(0) += 1;
-        }
-    }
-    // Lookup-only (read per command target, never iterated). lint: hash-ok
-    let mut peak_pps: HashMap<Ipv4Addr, u64> = HashMap::new();
-    for ((_, dst), n) in &per_sec {
-        let e = peak_pps.entry(*dst).or_insert(0);
-        *e = (*e).max(*n);
-    }
+    let scan = CaptureScan::new(packets, bot_ip, c2_ip);
+    let flood = |dst: Ipv4Addr| scan.floods.get(&dst);
+    let peak_pps = |dst: Ipv4Addr| flood(dst).map_or(0, |f| f.peak_pps);
 
     let mut out: Vec<ExtractedCommand> = Vec::new();
 
@@ -88,14 +69,12 @@ pub fn extract(
     if let Some(fam) = family {
         if fam.has_ddos_profile() {
             let profiler = C2Profiler::new(fam);
-            for (ts, chunk) in &c2_chunks {
+            for (ts, chunk) in &scan.c2_chunks {
                 for command in profiler.extract_commands(chunk) {
                     // Verification: continuous traffic toward the target
                     // after the command.
-                    let flood_after = packets
-                        .iter()
-                        .any(|(t2, p)| t2 > ts && p.src == bot_ip && p.dst == command.target);
-                    let pps = peak_pps.get(&command.target).copied().unwrap_or(0);
+                    let flood_after = flood(command.target).is_some_and(|f| f.max_ts > *ts);
+                    let pps = peak_pps(command.target);
                     out.push(ExtractedCommand {
                         command,
                         detection: DdosDetection::Profiler,
@@ -109,7 +88,8 @@ pub fn extract(
     }
 
     // --- method (b): behavioural heuristic ---
-    for ((sec, dst), _) in per_sec
+    for ((sec, dst), _) in scan
+        .per_sec
         .iter()
         .filter(|((_, _), n)| **n >= pps_threshold)
         .take(1024)
@@ -123,22 +103,18 @@ pub fn extract(
         }
         // Find the last C2 payload before the flood second.
         let flood_ts = sec * 1_000_000;
-        let last_cmd = c2_chunks
-            .iter()
-            .rev()
-            .find(|(ts, _)| *ts <= flood_ts)
-            .cloned();
-        let Some((cmd_ts, payload)) = last_cmd else {
+        let Some((cmd_ts, payload)) = scan.c2_chunks.iter().rev().find(|(ts, _)| *ts <= flood_ts)
+        else {
             continue;
         };
         // Verification: the target must appear (ASCII dotted or raw
         // big-endian bytes) in that payload.
         let ascii = dst.to_string();
         let raw = dst.octets();
-        let mentions = contains(&payload, ascii.as_bytes()) || contains(&payload, &raw);
+        let mentions = contains(payload, ascii.as_bytes()) || contains(payload, &raw);
         // Characterise the flood from the wire to synthesize the command
         // (type recovery from traffic shape).
-        let (method, port, dur) = characterize_flood(packets, bot_ip, *dst);
+        let (method, port, dur) = flood(*dst).copied().unwrap_or_default().characterize();
         out.push(ExtractedCommand {
             command: AttackCommand {
                 method,
@@ -148,8 +124,8 @@ pub fn extract(
             },
             detection: DdosDetection::Behavioral,
             verified: mentions,
-            measured_pps: peak_pps.get(dst).copied().unwrap_or(0),
-            ts_micros: cmd_ts,
+            measured_pps: peak_pps(*dst),
+            ts_micros: *cmd_ts,
         });
     }
 
@@ -163,66 +139,167 @@ fn contains(hay: &[u8], needle: &[u8]) -> bool {
     !needle.is_empty() && hay.windows(needle.len()).any(|w| w == needle)
 }
 
-/// Infer attack type from the flood traffic itself (used when only the
-/// behavioural detector fires, e.g. unknown families).
-fn characterize_flood(
-    packets: &[(u64, Packet)],
-    bot_ip: Ipv4Addr,
-    target: Ipv4Addr,
-) -> (malnet_protocols::AttackMethod, u16, u32) {
-    use malnet_protocols::AttackMethod;
-    let mut first: Option<u64> = None;
-    let mut last: Option<u64> = None;
-    let mut syn = 0u64;
-    let mut udp = 0u64;
-    let mut icmp = 0u64;
-    let mut port = 0u16;
-    for (ts, p) in packets {
-        if p.src != bot_ip || p.dst != target {
-            continue;
-        }
-        first.get_or_insert(*ts);
-        last = Some(*ts);
-        match &p.transport {
-            Transport::Tcp { header, .. } => {
-                if header.flags.syn() && !header.flags.ack() {
-                    syn += 1;
+/// What [`extract`] needs from a capture, built in one walk over it.
+struct CaptureScan<'a> {
+    /// Non-empty C2→bot TCP payloads with their timestamps, in capture
+    /// order, borrowed from the packets.
+    c2_chunks: Vec<(u64, &'a [u8])>,
+    /// Bot→non-C2 packets per `(second, destination)`.
+    per_sec: RunTally<(u64, Ipv4Addr), u64>,
+    /// The bot's traffic per destination, the C2 included.
+    floods: RunTally<Ipv4Addr, FloodStats>,
+}
+
+impl<'a> CaptureScan<'a> {
+    fn new(packets: &'a [(u64, Packet)], bot_ip: Ipv4Addr, c2_ip: Ipv4Addr) -> Self {
+        let mut scan = CaptureScan {
+            c2_chunks: Vec::new(),
+            per_sec: RunTally::default(),
+            floods: RunTally::default(),
+        };
+        for (ts, p) in packets {
+            if p.src == c2_ip && p.dst == bot_ip {
+                if let Transport::Tcp { payload, .. } = &p.transport {
+                    if !payload.is_empty() {
+                        scan.c2_chunks.push((*ts, payload.as_slice()));
+                    }
                 }
-                port = header.dst_port;
             }
-            Transport::Udp { header, .. } => {
-                udp += 1;
-                port = header.dst_port;
+            if p.src != bot_ip {
+                continue;
             }
-            Transport::Icmp(_) => icmp += 1,
+            let flood = scan.floods.entry(p.dst);
+            flood.add(*ts, &p.transport);
+            if p.dst != c2_ip {
+                let n = scan.per_sec.entry((ts / 1_000_000, p.dst));
+                *n += 1;
+                flood.peak_pps = flood.peak_pps.max(*n);
+            }
+        }
+        scan
+    }
+}
+
+/// An ordered tally with a one-entry cache in front of the tree: a
+/// capture comes in runs of packets to one destination within one
+/// second, so most updates skip the tree walk.
+struct RunTally<K, V> {
+    slots: BTreeMap<K, usize>,
+    values: Vec<V>,
+    last: Option<(K, usize)>,
+}
+
+impl<K, V> Default for RunTally<K, V> {
+    fn default() -> Self {
+        RunTally {
+            slots: BTreeMap::new(),
+            values: Vec::new(),
+            last: None,
         }
     }
-    let dur = match (first, last) {
-        (Some(a), Some(b)) => ((b - a) / 1_000_000) as u32 + 1,
-        _ => 0,
-    };
-    let method = if icmp > syn && icmp > udp {
-        AttackMethod::Blacknurse
-    } else if syn > udp {
-        AttackMethod::SynFlood
-    } else {
-        AttackMethod::UdpFlood
-    };
-    (
-        method,
-        if method == AttackMethod::Blacknurse {
+}
+
+impl<K: Ord + Copy, V: Default> RunTally<K, V> {
+    /// The value at `key`, inserted as `V::default()` if absent.
+    fn entry(&mut self, key: K) -> &mut V {
+        let slot = match self.last {
+            Some((k, slot)) if k == key => slot,
+            _ => {
+                let fresh = self.values.len();
+                let slot = *self.slots.entry(key).or_insert(fresh);
+                if slot == fresh {
+                    self.values.push(V::default());
+                }
+                self.last = Some((key, slot));
+                slot
+            }
+        };
+        &mut self.values[slot]
+    }
+
+    fn get(&self, key: &K) -> Option<&V> {
+        self.slots.get(key).map(|&slot| &self.values[slot])
+    }
+
+    /// The entries in key order.
+    fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.slots.iter().map(|(k, &slot)| (k, &self.values[slot]))
+    }
+}
+
+/// The bot's traffic toward one destination. First and last are in
+/// capture order (what the flood's duration is read from); `max_ts`
+/// answers "any traffic after t?" for captures whose timestamps are not
+/// monotone.
+#[derive(Debug, Default, Clone, Copy)]
+struct FloodStats {
+    packets: u64,
+    first_ts: u64,
+    last_ts: u64,
+    max_ts: u64,
+    syn: u64,
+    udp: u64,
+    icmp: u64,
+    /// Destination port of the last TCP or UDP packet.
+    port: u16,
+    /// Peak packets per second (0 for the C2, whose traffic is not
+    /// rated).
+    peak_pps: u64,
+}
+
+impl FloodStats {
+    fn add(&mut self, ts: u64, transport: &Transport) {
+        if self.packets == 0 {
+            self.first_ts = ts;
+        }
+        self.packets += 1;
+        self.last_ts = ts;
+        self.max_ts = self.max_ts.max(ts);
+        match transport {
+            Transport::Tcp { header, .. } => {
+                if header.flags.syn() && !header.flags.ack() {
+                    self.syn += 1;
+                }
+                self.port = header.dst_port;
+            }
+            Transport::Udp { header, .. } => {
+                self.udp += 1;
+                self.port = header.dst_port;
+            }
+            Transport::Icmp(_) => self.icmp += 1,
+        }
+    }
+
+    /// Infer attack type, port and duration (seconds) from the flood
+    /// traffic itself (used when only the behavioural detector fires,
+    /// e.g. unknown families).
+    fn characterize(&self) -> (AttackMethod, u16, u32) {
+        // Wrapping: a capture whose last packet predates its first keeps
+        // the arithmetic of a release build instead of panicking.
+        let dur = match self.packets {
+            0 => 0,
+            _ => ((self.last_ts.wrapping_sub(self.first_ts) / 1_000_000) as u32).wrapping_add(1),
+        };
+        let method = if self.icmp > self.syn && self.icmp > self.udp {
+            AttackMethod::Blacknurse
+        } else if self.syn > self.udp {
+            AttackMethod::SynFlood
+        } else {
+            AttackMethod::UdpFlood
+        };
+        let port = if method == AttackMethod::Blacknurse {
             0
         } else {
-            port
-        },
-        dur,
-    )
+            self.port
+        };
+        (method, port, dur)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use malnet_protocols::{mirai, AttackMethod};
+    use malnet_protocols::mirai;
     use malnet_wire::tcp::TcpFlags;
 
     const BOT: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 2);

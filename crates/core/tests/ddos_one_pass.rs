@@ -1,0 +1,422 @@
+//! The one-pass `ddos::extract` against the two-pass extractor it
+//! replaced, kept here verbatim as the oracle.
+//!
+//! Sessions are generated with several C2s, profiler-decodable and
+//! free-text commands, floods of every shape toward targets that
+//! include a C2 itself, background noise, and timestamps that are
+//! shuffled out of order. Every (C2, family, threshold) extraction must
+//! come out identical.
+
+use std::collections::{BTreeMap, HashMap};
+use std::net::Ipv4Addr;
+
+use proptest::prelude::*;
+
+use malnet_core::datasets::DdosDetection;
+use malnet_core::ddos::{self, ExtractedCommand};
+use malnet_protocols::profiler::C2Profiler;
+use malnet_protocols::{daddyl33t, gafgyt, mirai, AttackCommand, AttackMethod, Family};
+use malnet_wire::icmp::IcmpMessage;
+use malnet_wire::packet::{Packet, Transport};
+use malnet_wire::tcp::TcpFlags;
+
+const BOT: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 2);
+const C2S: [Ipv4Addr; 3] = [
+    Ipv4Addr::new(10, 1, 0, 5),
+    Ipv4Addr::new(10, 1, 0, 6),
+    Ipv4Addr::new(10, 1, 0, 7),
+];
+/// Flood targets; the last one is a C2.
+const TARGETS: [Ipv4Addr; 3] = [
+    Ipv4Addr::new(203, 0, 113, 9),
+    Ipv4Addr::new(198, 51, 100, 4),
+    C2S[0],
+];
+const METHODS: [AttackMethod; 4] = [
+    AttackMethod::UdpFlood,
+    AttackMethod::SynFlood,
+    AttackMethod::Blacknurse,
+    AttackMethod::Std,
+];
+
+// ---------------------------------------------------------------------
+// Oracle: the two-pass extractor as it stood before the one-pass scan,
+// copied verbatim except for one expression in `characterize_flood`
+// (marked there) and the hash-rule suppression marker dropped from the
+// `peak_pps` comment (the hash rule does not scan tests, so the marker
+// would be a stale suppression here).
+// ---------------------------------------------------------------------
+
+/// Extract commands from a session capture.
+///
+/// `c2_ip` is the (already attributed) C2 address of this session;
+/// `bot_ip` the sandboxed device; `family` the sample's label (profilers
+/// exist for Mirai/Gafgyt/Daddyl33t only, as in the paper).
+pub fn extract(
+    packets: &[(u64, Packet)],
+    bot_ip: Ipv4Addr,
+    c2_ip: Ipv4Addr,
+    family: Option<Family>,
+    pps_threshold: u64,
+) -> Vec<ExtractedCommand> {
+    // --- reassemble C2→bot payload stream, keeping per-chunk timestamps ---
+    let mut c2_chunks: Vec<(u64, Vec<u8>)> = Vec::new();
+    for (ts, p) in packets {
+        if p.src == c2_ip && p.dst == bot_ip {
+            if let Transport::Tcp { payload, .. } = &p.transport {
+                if !payload.is_empty() {
+                    c2_chunks.push((*ts, payload.clone()));
+                }
+            }
+        }
+    }
+
+    // --- per-second, per-destination packet rates (non-C2 traffic) ---
+    let mut per_sec: BTreeMap<(u64, Ipv4Addr), u64> = BTreeMap::new();
+    for (ts, p) in packets {
+        if p.src == bot_ip && p.dst != c2_ip {
+            *per_sec.entry((ts / 1_000_000, p.dst)).or_insert(0) += 1;
+        }
+    }
+    // Lookup-only (read per command target, never iterated).
+    let mut peak_pps: HashMap<Ipv4Addr, u64> = HashMap::new();
+    for ((_, dst), n) in &per_sec {
+        let e = peak_pps.entry(*dst).or_insert(0);
+        *e = (*e).max(*n);
+    }
+
+    let mut out: Vec<ExtractedCommand> = Vec::new();
+
+    // --- method (a): protocol profiler ---
+    if let Some(fam) = family {
+        if fam.has_ddos_profile() {
+            let profiler = C2Profiler::new(fam);
+            for (ts, chunk) in &c2_chunks {
+                for command in profiler.extract_commands(chunk) {
+                    // Verification: continuous traffic toward the target
+                    // after the command.
+                    let flood_after = packets
+                        .iter()
+                        .any(|(t2, p)| t2 > ts && p.src == bot_ip && p.dst == command.target);
+                    let pps = peak_pps.get(&command.target).copied().unwrap_or(0);
+                    out.push(ExtractedCommand {
+                        command,
+                        detection: DdosDetection::Profiler,
+                        verified: flood_after,
+                        measured_pps: pps,
+                        ts_micros: *ts,
+                    });
+                }
+            }
+        }
+    }
+
+    // --- method (b): behavioural heuristic ---
+    for ((sec, dst), _) in per_sec
+        .iter()
+        .filter(|((_, _), n)| **n >= pps_threshold)
+        .take(1024)
+    {
+        // Already covered by the profiler?
+        if let Some(e) = out.iter_mut().find(|e| e.command.target == *dst) {
+            if e.detection == DdosDetection::Profiler {
+                e.detection = DdosDetection::Both;
+            }
+            continue;
+        }
+        // Find the last C2 payload before the flood second.
+        let flood_ts = sec * 1_000_000;
+        let last_cmd = c2_chunks
+            .iter()
+            .rev()
+            .find(|(ts, _)| *ts <= flood_ts)
+            .cloned();
+        let Some((cmd_ts, payload)) = last_cmd else {
+            continue;
+        };
+        // Verification: the target must appear (ASCII dotted or raw
+        // big-endian bytes) in that payload.
+        let ascii = dst.to_string();
+        let raw = dst.octets();
+        let mentions = contains(&payload, ascii.as_bytes()) || contains(&payload, &raw);
+        // Characterise the flood from the wire to synthesize the command
+        // (type recovery from traffic shape).
+        let (method, port, dur) = characterize_flood(packets, bot_ip, *dst);
+        out.push(ExtractedCommand {
+            command: AttackCommand {
+                method,
+                target: *dst,
+                port,
+                duration_secs: dur,
+            },
+            detection: DdosDetection::Behavioral,
+            verified: mentions,
+            measured_pps: peak_pps.get(dst).copied().unwrap_or(0),
+            ts_micros: cmd_ts,
+        });
+    }
+
+    // Deduplicate repeated keepalive-window decodes of one command.
+    out.sort_by_key(|e| (e.ts_micros, e.command.target, e.command.port));
+    out.dedup_by(|a, b| a.command == b.command && a.ts_micros == b.ts_micros);
+    out
+}
+
+fn contains(hay: &[u8], needle: &[u8]) -> bool {
+    !needle.is_empty() && hay.windows(needle.len()).any(|w| w == needle)
+}
+
+/// Infer attack type from the flood traffic itself (used when only the
+/// behavioural detector fires, e.g. unknown families).
+fn characterize_flood(
+    packets: &[(u64, Packet)],
+    bot_ip: Ipv4Addr,
+    target: Ipv4Addr,
+) -> (malnet_protocols::AttackMethod, u16, u32) {
+    use malnet_protocols::AttackMethod;
+    let mut first: Option<u64> = None;
+    let mut last: Option<u64> = None;
+    let mut syn = 0u64;
+    let mut udp = 0u64;
+    let mut icmp = 0u64;
+    let mut port = 0u16;
+    for (ts, p) in packets {
+        if p.src != bot_ip || p.dst != target {
+            continue;
+        }
+        first.get_or_insert(*ts);
+        last = Some(*ts);
+        match &p.transport {
+            Transport::Tcp { header, .. } => {
+                if header.flags.syn() && !header.flags.ack() {
+                    syn += 1;
+                }
+                port = header.dst_port;
+            }
+            Transport::Udp { header, .. } => {
+                udp += 1;
+                port = header.dst_port;
+            }
+            Transport::Icmp(_) => icmp += 1,
+        }
+    }
+    let dur = match (first, last) {
+        // The one departure from the original: `((b - a) / 1_000_000) as
+        // u32 + 1`, written with the wrapping arithmetic a release build
+        // gives it, so a capture whose last packet predates its first
+        // compares instead of panicking in this debug-built test.
+        (Some(a), Some(b)) => ((b.wrapping_sub(a) / 1_000_000) as u32).wrapping_add(1),
+        _ => 0,
+    };
+    let method = if icmp > syn && icmp > udp {
+        AttackMethod::Blacknurse
+    } else if syn > udp {
+        AttackMethod::SynFlood
+    } else {
+        AttackMethod::UdpFlood
+    };
+    (
+        method,
+        if method == AttackMethod::Blacknurse {
+            0
+        } else {
+            port
+        },
+        dur,
+    )
+}
+
+// ---------------------------------------------------------------------
+// Session generator.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum Event {
+    /// A C2→bot command payload in one of four encodings (Mirai binary,
+    /// Gafgyt and Daddyl33t text, free text naming the target).
+    Command {
+        c2: usize,
+        codec: usize,
+        target: usize,
+        method: usize,
+        port: u16,
+        ts: u64,
+    },
+    /// Bot→target traffic: UDP, TCP SYN, TCP SYN-ACK or ICMP.
+    Flood {
+        target: usize,
+        kind: usize,
+        start_s: u64,
+        secs: u64,
+        pps: u64,
+        port: u16,
+    },
+    /// One packet between the bot and a C2 or an unrelated host, either
+    /// direction.
+    Noise { peer: u8, from_bot: bool, ts: u64 },
+}
+
+fn arb_command() -> impl Strategy<Value = Event> {
+    let fields = (
+        0usize..3,
+        0usize..4,
+        0usize..3,
+        0usize..4,
+        1u16..1024,
+        0u64..12_000_000,
+    );
+    fields.prop_map(|(c2, codec, target, method, port, ts)| Event::Command {
+        c2,
+        codec,
+        target,
+        method,
+        port,
+        ts,
+    })
+}
+
+fn arb_flood() -> impl Strategy<Value = Event> {
+    let pps = prop_oneof![Just(40u64), Just(120), Just(260)];
+    let fields = (0usize..3, 0usize..4, 0u64..10, 1u64..4, pps, 1u16..1024);
+    fields.prop_map(|(target, kind, start_s, secs, pps, port)| Event::Flood {
+        target,
+        kind,
+        start_s,
+        secs,
+        pps,
+        port,
+    })
+}
+
+fn arb_event() -> impl Strategy<Value = Event> {
+    let noise = (0u8..6, any::<bool>(), 0u64..12_000_000)
+        .prop_map(|(peer, from_bot, ts)| Event::Noise { peer, from_bot, ts });
+    prop_oneof![
+        arb_command(),
+        arb_command(),
+        arb_flood(),
+        arb_flood(),
+        noise
+    ]
+}
+
+fn command_payload(codec: usize, cmd: &AttackCommand) -> Vec<u8> {
+    let encoded = match codec {
+        0 => mirai::encode_command(cmd),
+        1 => gafgyt::encode_command(cmd).map(String::into_bytes),
+        2 => daddyl33t::encode_command(cmd).map(String::into_bytes),
+        _ => None,
+    };
+    encoded.unwrap_or_else(|| format!("!flood {} {}", cmd.target, cmd.port).into_bytes())
+}
+
+fn session(events: &[Event]) -> Vec<(u64, Packet)> {
+    let mut pkts = Vec::new();
+    for e in events {
+        match *e {
+            Event::Command {
+                c2,
+                codec,
+                target,
+                method,
+                port,
+                ts,
+            } => {
+                let cmd = AttackCommand {
+                    method: METHODS[method],
+                    target: TARGETS[target],
+                    port,
+                    duration_secs: 5,
+                };
+                let payload = command_payload(codec, &cmd);
+                let p = Packet::tcp(C2S[c2], 23, BOT, 40000, 1, 1, TcpFlags::PSH_ACK, payload);
+                pkts.push((ts, p));
+            }
+            Event::Flood {
+                target,
+                kind,
+                start_s,
+                secs,
+                pps,
+                port,
+            } => {
+                let dst = TARGETS[target];
+                for k in 0..secs * pps {
+                    let ts = start_s * 1_000_000 + k * (1_000_000 / pps);
+                    let p = match kind {
+                        0 => Packet::udp(BOT, 4444, dst, port, vec![0]),
+                        1 => Packet::tcp(BOT, 4444, dst, port, 7, 0, TcpFlags::SYN, vec![]),
+                        2 => Packet::tcp(BOT, 4444, dst, port, 7, 0, TcpFlags::SYN_ACK, vec![]),
+                        _ => Packet::icmp(
+                            BOT,
+                            dst,
+                            IcmpMessage::DestinationUnreachable {
+                                code: 3,
+                                payload: vec![],
+                            },
+                        ),
+                    };
+                    pkts.push((ts, p));
+                }
+            }
+            Event::Noise { peer, from_bot, ts } => {
+                let other = match peer {
+                    0..=2 => C2S[usize::from(peer)],
+                    _ => Ipv4Addr::new(192, 0, 2, peer),
+                };
+                let (src, dst) = if from_bot { (BOT, other) } else { (other, BOT) };
+                pkts.push((
+                    ts,
+                    Packet::tcp(src, 23, dst, 40000, 1, 1, TcpFlags::ACK, vec![]),
+                ));
+            }
+        }
+    }
+    pkts.sort_by_key(|(ts, _)| *ts);
+    pkts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One-pass extraction equals the two-pass oracle for every C2 of
+    /// the session, every family (profiled or not) and threshold, on
+    /// captures whose timestamps are shuffled out of order.
+    #[test]
+    fn one_pass_extract_matches_two_pass_oracle(
+        events in proptest::collection::vec(arb_event(), 1..12),
+        window in (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+        swaps in proptest::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+            0..12,
+        ),
+    ) {
+        // Out-of-order capture: one reversed window (a flood's last
+        // packet in capture order is then not its latest) plus swaps.
+        let mut pkts = session(&events);
+        if !pkts.is_empty() {
+            let (a, b) = (window.0.index(pkts.len()), window.1.index(pkts.len()));
+            pkts[a.min(b)..=a.max(b)].reverse();
+            for (a, b) in &swaps {
+                let (a, b) = (a.index(pkts.len()), b.index(pkts.len()));
+                pkts.swap(a, b);
+            }
+        }
+        let families = [
+            Some(Family::Mirai),
+            Some(Family::Gafgyt),
+            Some(Family::Daddyl33t),
+            Some(Family::Tsunami),
+            None,
+        ];
+        for c2 in C2S {
+            for family in families {
+                for pps in [1u64, 100] {
+                    let want = extract(&pkts, BOT, c2, family, pps);
+                    let got = ddos::extract(&pkts, BOT, c2, family, pps);
+                    prop_assert_eq!(got, want, "c2 {} family {:?} pps {}", c2, family, pps);
+                }
+            }
+        }
+    }
+}

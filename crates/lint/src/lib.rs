@@ -4,7 +4,7 @@
 //! The reproduction's core invariant — byte-identical datasets across
 //! parallelism levels, chaos seeds, telemetry modes *and processes* —
 //! is guarded here. Earlier PRs enforced it with a line-based substring
-//! grep (`source_lint`), which could not see strings, comments, scopes,
+//! grep, which could not see strings, comments, scopes,
 //! or cross-file facts; this crate replaces that with a real lexer
 //! ([`lexer`]) feeding a rule engine ([`rules`]) and a versioned
 //! machine-readable artifact ([`report`], `malnet.lint_report` v1).
@@ -17,9 +17,8 @@
 //! * [`report::WorkspaceLint::to_json`] — the CI artifact.
 //!
 //! The crate is dependency-free (it lints the tree that builds it, so
-//! it must not drag anything in) and is driven by two `malnet-bench`
-//! bins: `lint_report` (CI gate + artifact) and `source_lint` (the
-//! original bin, now a thin alias kept for muscle memory).
+//! it must not drag anything in) and is driven by the `malnet-bench`
+//! bin `lint_report` (CI gate + artifact).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -26,7 +26,16 @@
 //!   `xor` head specialized as [`Op::XorBne`];
 //! * branches and jumps carry a `nop` flag when their delay slot is a
 //!   `nop` (the assembler always emits one), letting a taken branch
-//!   retire branch+slot in one dispatch and jump directly.
+//!   retire branch+slot in one dispatch and jump directly;
+//! * a run of two or more `lui t, hi; ori t, t, lo; beq a, t, L; nop`
+//!   groups sharing `(a, t)` → one [`Op::CmpChain`] per group head (the
+//!   stub's 38-arm opcode dispatch). It scans the chain's key table —
+//!   kept beside `ops` and rebuilt with it — for the first key equal to
+//!   `a` and retires every group it passes in one dispatch. Each group
+//!   head past the first sits on the fall-through leader after the
+//!   previous group's `beq` delay slot, so the heads stay aligned with
+//!   the block structure, and a branch into the middle of a chain
+//!   lands on its own `CmpChain` and still scans only the rest.
 //!
 //! Fusion never spans a basic-block leader (a static branch target or
 //! a post-branch fall-through point), so hot back-edges always land on
@@ -246,9 +255,26 @@ pub enum Op {
         rt: u8,
         target: u32,
     },
+    /// Superinstruction: group `k` of a compare chain, a run of
+    /// `lui t, hi; ori t, t, lo; beq a, t, target; nop` groups that
+    /// share `(a, t)` (the stub's opcode dispatch). `chain` indexes the
+    /// cache's key/target table. Finds the first group `k' >= k` whose
+    /// key equals `a`: retires `4 * (k' - k + 1)`, leaves `t` = that key
+    /// and jumps to its target. A miss retires the rest of the chain,
+    /// leaves `t` = the last key and falls through past the chain.
+    /// Degrades to group `k`'s [`Op::LiPair`] on a short budget.
+    CmpChain { a: u8, t: u8, chain: u32, k: u32 },
     /// Sentinel one past the segment's last word: leave the fast path
     /// (the oracle faults or continues in another segment).
     Leave,
+}
+
+/// One group of a compare chain: the constant the `lui; ori` pair
+/// builds and the absolute target of the `beq` that tests it.
+#[derive(Debug, Clone, Copy)]
+struct CmpArm {
+    key: u32,
+    target: u32,
 }
 
 /// Operation selector for a fused pure-ALU component ([`Alu`]).
@@ -360,6 +386,9 @@ pub struct ExecCache {
     end: u32,
     /// One op per text word, plus the trailing [`Op::Leave`] sentinel.
     ops: Vec<Op>,
+    /// Key/target table of every [`Op::CmpChain`], indexed by its
+    /// `chain` field; rebuilt with `ops`.
+    chains: Vec<Vec<CmpArm>>,
     /// `Memory::code_version` the ops were decoded at.
     version: u64,
 }
@@ -380,6 +409,7 @@ impl ExecCache {
             base,
             end,
             ops: Vec::new(),
+            chains: Vec::new(),
             version: mem.code_version(),
         };
         cache.decode_from(mem);
@@ -421,7 +451,8 @@ impl ExecCache {
             let nop = i + 1 < n && insts[i + 1].word == 0;
             self.ops.push(lower(inst, nop));
         }
-        fuse(&mut self.ops, self.base);
+        self.chains.clear();
+        fuse(&mut self.ops, self.base, &mut self.chains);
         self.ops.push(Op::Leave);
     }
 }
@@ -519,7 +550,9 @@ fn lower(inst: &Inst, nop: bool) -> Op {
 /// (the component op is plain), but a hot loop whose head got consumed
 /// as the tail of the preceding block's pair would run unfused forever.
 /// Aligning fusion to leaders keeps back-edges landing on fused heads.
-fn fuse(ops: &mut [Op], base: u32) {
+///
+/// Compare chains are fused first, so no pair can claim a chain's `lui`.
+fn fuse(ops: &mut [Op], base: u32, chains: &mut Vec<Vec<CmpArm>>) {
     let n = ops.len();
     let mut leader = vec![false; n];
     for i in 0..n {
@@ -548,8 +581,14 @@ fn fuse(ops: &mut [Op], base: u32) {
             }
         }
     }
+    fuse_cmp_chains(ops, &leader, chains);
     let mut i = 0;
     while i + 1 < n {
+        if let Op::CmpChain { .. } = ops[i] {
+            // Every group head of a chain is already fused.
+            i += 4;
+            continue;
+        }
         if leader[i + 1] {
             // Nothing two-wide can start here without spanning a block
             // boundary.
@@ -691,6 +730,73 @@ fn fuse(ops: &mut [Op], base: u32) {
                 i += 1;
             }
         }
+    }
+}
+
+/// The compare-chain group at word `i`, as `((a, t), arm)`: `lui t, hi;
+/// ori t, t, lo; beq a, t, target; nop` with `t` not `$zero`, `a != t`
+/// (so the compared value survives the chain) and no leader inside the
+/// group past its head.
+fn cmp_group(ops: &[Op], leader: &[bool], i: usize) -> Option<((u8, u8), CmpArm)> {
+    let [Op::Lui { rt, val }, Op::Ori {
+        rt: ort,
+        rs: ors,
+        imm,
+    }, Op::Beq {
+        rs: a,
+        rt: bt,
+        target,
+        nop: true,
+    }] = *ops.get(i..i + 3)?
+    else {
+        return None;
+    };
+    // `nop: true` implies the delay slot at i+3 exists.
+    let fused = rt != 0 && ort == rt && ors == rt && bt == rt && a != rt;
+    (fused && !leader[i + 1] && !leader[i + 2] && !leader[i + 3]).then_some((
+        (a, rt),
+        CmpArm {
+            key: val | imm,
+            target,
+        },
+    ))
+}
+
+/// Replace every group head of each maximal run of two or more
+/// compare-chain groups sharing `(a, t)` by an [`Op::CmpChain`], and
+/// record the run's keys and targets in `chains`. Group heads past the
+/// first sit on fall-through leaders (each follows a `beq` delay slot),
+/// which is exactly where a dispatch that enters mid-chain lands.
+fn fuse_cmp_chains(ops: &mut [Op], leader: &[bool], chains: &mut Vec<Vec<CmpArm>>) {
+    let mut i = 0;
+    while i < ops.len() {
+        let Some((regs, arm)) = cmp_group(ops, leader, i) else {
+            i += 1;
+            continue;
+        };
+        let mut arms = vec![arm];
+        while let Some((next_regs, next)) = cmp_group(ops, leader, i + 4 * arms.len()) {
+            if next_regs != regs {
+                break;
+            }
+            arms.push(next);
+        }
+        if arms.len() < 2 {
+            i += 4;
+            continue;
+        }
+        let (a, t) = regs;
+        let chain = chains.len() as u32;
+        for k in 0..arms.len() {
+            ops[i + 4 * k] = Op::CmpChain {
+                a,
+                t,
+                chain,
+                k: k as u32,
+            };
+        }
+        i += 4 * arms.len();
+        chains.push(arms);
     }
 }
 
@@ -1293,6 +1399,41 @@ impl Cpu {
                             adv!();
                         }
                     }
+                    Op::CmpChain { a, t, chain, k } => {
+                        let arms = &cache.chains[chain as usize][k as usize..];
+                        let key = rr!(a);
+                        let hit = arms.iter().position(|arm| arm.key == key);
+                        // Groups retired: through the hit, or the rest of
+                        // the chain on a miss.
+                        let groups = hit.map_or(arms.len(), |j| j + 1);
+                        if remaining >= 4 * groups as u64 {
+                            let arm = arms[groups - 1];
+                            // `a != t`, so every earlier beq compared the
+                            // same `a`; `t` keeps the last key loaded.
+                            wr!(t, arm.key);
+                            remaining -= 4 * groups as u64;
+                            pc = match hit {
+                                Some(_) => arm.target,
+                                None => pc.wrapping_add(16 * groups as u32),
+                            };
+                            if !cache.contains(pc) {
+                                self.pc = pc;
+                                self.retired += entered - remaining;
+                                continue 'outer;
+                            }
+                            idx = ((pc - base) >> 2) as usize;
+                        } else if remaining >= 2 {
+                            // Group k's `lui; ori` alone; its plain beq
+                            // runs next.
+                            wr!(t, arms[0].key);
+                            remaining -= 2;
+                            pc = pc.wrapping_add(8);
+                            idx += 2;
+                        } else {
+                            wr!(t, arms[0].key & 0xffff_0000);
+                            adv!();
+                        }
+                    }
                     Op::Leave => {
                         self.pc = pc;
                         self.retired += entered - remaining;
@@ -1307,7 +1448,7 @@ impl Cpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asm::{Assembler, Ins, Reg};
+    use crate::asm::{Assembler, Ins, Reg, Target};
     use crate::cpu::{STACK_SIZE, STACK_TOP};
 
     fn setup(code: Vec<u8>, writable_text: bool) -> (Cpu, ExecCache) {
@@ -1328,10 +1469,19 @@ mod tests {
 
     /// Run the same program under step() and run_cached() with the same
     /// per-call budget and assert identical full state at every stop.
-    fn lockstep(code: Vec<u8>, slice: u64, writable_text: bool) {
+    fn lockstep(code: Vec<u8>, slice: u64, writable_text: bool) -> Cpu {
+        lockstep_budgets(code, std::iter::repeat(slice), writable_text)
+    }
+
+    /// [`lockstep`] with a per-call budget sequence; returns the oracle.
+    fn lockstep_budgets(
+        code: Vec<u8>,
+        budgets: impl Iterator<Item = u64>,
+        writable_text: bool,
+    ) -> Cpu {
         let (mut legacy, _) = setup(code.clone(), writable_text);
         let (mut fast, mut cache) = setup(code, writable_text);
-        for _ in 0..10_000 {
+        for slice in budgets.take(10_000) {
             let a = legacy.run(slice);
             let b = fast.run_cached(slice, &mut cache);
             assert_eq!(a, b, "outcome diverged at retired={}", legacy.retired);
@@ -1351,10 +1501,160 @@ mod tests {
                 }
             }
             if a.is_err() {
-                return;
+                return legacy;
             }
         }
         panic!("program never terminated");
+    }
+
+    /// `li $t8, value`, then a compare chain over `keys` on `($t8, $t9)`
+    /// whose miss path runs `li $s1, 0xdead; break` and whose arm `k`
+    /// runs `li $s0, k; break`. With `entry = Some(g)` a `j` skips
+    /// straight to group `g`'s head.
+    fn cmp_chain_program(value: u32, keys: &[u32], entry: Option<usize>) -> Vec<u8> {
+        asm(|a| {
+            a.ins(Ins::Li(Reg::T8, value));
+            if let Some(g) = entry {
+                a.ins(Ins::J(Target::Label(format!("g{g}"))));
+            }
+            for (k, key) in keys.iter().enumerate() {
+                a.label(&format!("g{k}"))
+                    .ins(Ins::Li(Reg::T9, *key))
+                    .ins(Ins::Beq(Reg::T8, Reg::T9, Target::Label(format!("arm{k}"))));
+            }
+            a.ins(Ins::Li(Reg::S1, 0xdead)).ins(Ins::Break);
+            for k in 0..keys.len() {
+                a.label(&format!("arm{k}"))
+                    .ins(Ins::Li(Reg::S0, k as u32))
+                    .ins(Ins::Break);
+            }
+        })
+    }
+
+    fn cmp_chain_heads(code: Vec<u8>) -> Vec<usize> {
+        let (_, cache) = setup(code, false);
+        let heads = cache.ops.iter().enumerate();
+        heads
+            .filter(|(_, op)| matches!(op, Op::CmpChain { .. }))
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    /// Lockstep at every fixed slice up to past the chain's length, and
+    /// at every first-call budget from 1 to `4n` followed by big ones.
+    fn cmp_chain_lockstep(code: Vec<u8>, groups: usize) -> Cpu {
+        for slice in 1..=4 * groups as u64 + 4 {
+            lockstep(code.clone(), slice, false);
+        }
+        for first in 1..=4 * groups as u64 {
+            let budgets = std::iter::once(first).chain(std::iter::repeat(1000));
+            lockstep_budgets(code.clone(), budgets, false);
+        }
+        lockstep(code, 1000, false)
+    }
+
+    #[test]
+    fn cmp_chain_hits_and_miss_match_oracle() {
+        // Keys with high halves make the one-instruction degrade (the
+        // lone `lui`) observable.
+        let keys = [0, 0x0001_0007, 2, 0x8000_0003, 26, 37];
+        let code = cmp_chain_program(0, &keys, None);
+        assert_eq!(cmp_chain_heads(code), vec![2, 6, 10, 14, 18, 22]);
+        for (k, key) in keys.iter().enumerate() {
+            // First, middle and last group hits.
+            let cpu = cmp_chain_lockstep(cmp_chain_program(*key, &keys, None), keys.len());
+            assert_eq!(cpu.reg(16), k as u32, "arm {k} taken");
+            assert_eq!(cpu.reg(25), *key, "$t9 holds the hit key");
+        }
+        let cpu = cmp_chain_lockstep(cmp_chain_program(99, &keys, None), keys.len());
+        assert_eq!(cpu.reg(17), 0xdead, "miss falls through the chain");
+        assert_eq!(cpu.reg(25), 37, "$t9 holds the last key");
+    }
+
+    #[test]
+    fn cmp_chain_entered_mid_chain_scans_only_the_rest() {
+        let keys = [4, 5, 6, 7, 8];
+        for (value, arm) in [(7, Some(3)), (6, Some(2)), (4, None), (5, None)] {
+            let code = cmp_chain_program(value, &keys, Some(2));
+            let cpu = cmp_chain_lockstep(code, keys.len());
+            match arm {
+                Some(k) => assert_eq!(cpu.reg(16), k),
+                None => assert_eq!(cpu.reg(17), 0xdead, "keys before the entry are skipped"),
+            }
+        }
+    }
+
+    #[test]
+    fn cmp_chain_duplicate_keys_take_the_first_match() {
+        let keys = [5, 2, 5, 2];
+        for (value, arm) in [(5, 0), (2, 1)] {
+            let cpu = cmp_chain_lockstep(cmp_chain_program(value, &keys, None), keys.len());
+            assert_eq!(cpu.reg(16), arm);
+        }
+    }
+
+    #[test]
+    fn cmp_chain_comparing_t_with_itself_does_not_fuse() {
+        // `beq $t9, $t9` always branches on the first group: not a chain.
+        let code = asm(|a| {
+            for k in 0..4u32 {
+                a.ins(Ins::Li(Reg::T9, k))
+                    .ins(Ins::Beq(Reg::T9, Reg::T9, "out".into()));
+            }
+            a.label("out").ins(Ins::Break);
+        });
+        assert!(cmp_chain_heads(code.clone()).is_empty());
+        cmp_chain_lockstep(code, 4);
+        // Nor do groups on `$zero` or groups that switch registers.
+        let code = asm(|a| {
+            a.ins(Ins::Li(Reg::ZERO, 1))
+                .ins(Ins::Beq(Reg::T8, Reg::ZERO, "out".into()))
+                .ins(Ins::Li(Reg::ZERO, 2))
+                .ins(Ins::Beq(Reg::T8, Reg::ZERO, "out".into()))
+                .ins(Ins::Li(Reg::T9, 1))
+                .ins(Ins::Beq(Reg::T8, Reg::T9, "out".into()))
+                .ins(Ins::Li(Reg::T7, 2))
+                .ins(Ins::Beq(Reg::T8, Reg::T7, "out".into()))
+                .label("out")
+                .ins(Ins::Break);
+        });
+        assert!(cmp_chain_heads(code.clone()).is_empty());
+        cmp_chain_lockstep(code, 4);
+    }
+
+    #[test]
+    fn store_into_cmp_chain_rebuilds_its_keys() {
+        // Patch group 1's `ori` from key 1 to key 0x77, then dispatch on
+        // 0x77: the rebuilt chain must take arm 1, as the oracle does.
+        let base: u32 = 0x0040_0000;
+        let ori_t9_0x77 = 0x3739_0077; // ori $t9, $t9, 0x77
+        let code = asm(|a| {
+            a.ins(Ins::Li(Reg::T0, base + 4 * 12))
+                .ins(Ins::Li(Reg::T1, ori_t9_0x77))
+                .ins(Ins::Sw(Reg::T1, Reg::T0, 0))
+                .ins(Ins::Li(Reg::T8, 0x77));
+            // The chain starts at word 7; group 1's `ori` is word 12.
+            for (k, key) in [0u32, 1, 2].iter().enumerate() {
+                a.ins(Ins::Li(Reg::T9, *key)).ins(Ins::Beq(
+                    Reg::T8,
+                    Reg::T9,
+                    Target::Label(format!("arm{k}")),
+                ));
+            }
+            a.ins(Ins::Li(Reg::S1, 0xdead)).ins(Ins::Break);
+            for k in 0..3u32 {
+                a.label(&format!("arm{k}"))
+                    .ins(Ins::Li(Reg::S0, k))
+                    .ins(Ins::Break);
+            }
+        });
+        let (_, cache) = setup(code.clone(), true);
+        assert!(matches!(cache.ops[7], Op::CmpChain { k: 0, .. }));
+        assert_eq!(cache.chains[0][1].key, 1);
+        for slice in [1, 2, 3, 5, 8, 1000] {
+            let cpu = lockstep(code.clone(), slice, true);
+            assert_eq!(cpu.reg(16), 1, "patched key dispatches to arm 1");
+        }
     }
 
     #[test]

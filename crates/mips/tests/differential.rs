@@ -6,8 +6,8 @@
 //! architectural state must match: register file, pc, hi/lo, pending
 //! branch, retired-instruction count, the full memory image, and the
 //! syscall trace. Programs come from the same strategies the rest of
-//! the suite uses — the botgen stub subset with branches and syscalls,
-//! plus arbitrary instruction soup (fuzzed `.text`, writable so stores
+//! the suite uses — the botgen stub subset with branches, syscalls and
+//! compare chains (the stub's opcode dispatch), plus arbitrary instruction soup (fuzzed `.text`, writable so stores
 //! exercise cache invalidation).
 
 use proptest::prelude::*;
@@ -122,6 +122,31 @@ fn stub_ins() -> impl Strategy<Value = Ins> {
     ]
 }
 
+/// A compare chain, the stub's opcode-dispatch shape: `li a, v` then
+/// `li t, k; beq a, t, L` groups sharing `(a, t)`. Keys and `v` come
+/// from a small range, so hits, misses and duplicate keys all occur;
+/// random registers also draw `a == t` and `$zero`, which must not fuse.
+fn cmp_chain() -> impl Strategy<Value = Vec<Ins>> {
+    let t = (0u32..96).prop_map(|k| Target::Abs(BASE + k * 4));
+    let arms = proptest::collection::vec((0u32..6, t), 2..8);
+    (reg(), reg(), 0u32..6, arms).prop_map(|(a, t, v, arms)| {
+        let mut out = vec![Ins::Li(a, v)];
+        for (key, target) in arms {
+            out.push(Ins::Li(t, key));
+            out.push(Ins::Beq(a, t, target));
+        }
+        out
+    })
+}
+
+/// Stub-shaped programs as instruction runs: mostly single instructions,
+/// sometimes a whole compare chain.
+fn stub_program(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Ins>> {
+    let single = || stub_ins().prop_map(|i| vec![i]);
+    let chunk = prop_oneof![single(), single(), single(), cmp_chain()];
+    proptest::collection::vec(chunk, len).prop_map(|runs| runs.concat())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -129,7 +154,7 @@ proptest! {
     /// behave identically under both engines at every budget slicing.
     #[test]
     fn block_engine_matches_oracle_on_stub_programs(
-        program in proptest::collection::vec(stub_ins(), 1..64),
+        program in stub_program(1..64),
         slice in prop_oneof![1u64..8, Just(100u64), Just(100_000u64)],
     ) {
         let mut a = Assembler::new(BASE);
@@ -158,7 +183,7 @@ proptest! {
     /// running off the segment end faults identically in both engines.
     #[test]
     fn block_engine_matches_oracle_on_truncated_programs(
-        program in proptest::collection::vec(stub_ins(), 1..24),
+        program in stub_program(1..24),
         cut_words in any::<prop::sample::Index>(),
         slice in 1u64..6,
     ) {

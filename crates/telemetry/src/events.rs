@@ -18,7 +18,7 @@
 //! wall-clock value that ever reaches the stream is the `wall_us` field
 //! of the day rollup row, which arrives pre-computed from
 //! [`Telemetry::stopwatch`] — this module itself never reads a clock
-//! (enforced by `source_lint`'s event-payload rule). Consequences:
+//! (enforced by `lint_report`'s event-payload rule). Consequences:
 //!
 //! * attaching a sink cannot perturb a single output byte (the
 //!   determinism suite diffs streaming on/off across parallelism

@@ -102,7 +102,7 @@ impl Telemetry {
     /// or sink-less handles, so instrumented code can emit
     /// unconditionally. Callers must only emit from the coordinator
     /// thread at deterministic points with deterministic payloads (see
-    /// `events` module docs); `source_lint` keeps clocks out of payload
+    /// `events` module docs); `lint_report` keeps clocks out of payload
     /// construction.
     pub fn event(&self, kind: &str, key: Option<&str>, fields: &[(&str, Field<'_>)]) {
         if let Some(sink) = self.inner.as_ref().and_then(|r| r.events.as_ref()) {
@@ -291,7 +291,7 @@ impl Telemetry {
     /// code can time itself without the disabled path ever touching
     /// `std::time` — this (not a raw `Instant::now()`) is the sanctioned
     /// way for non-telemetry crates to measure wall time, and the
-    /// workspace `source_lint` enforces it.
+    /// workspace `lint_report` enforces it.
     pub fn stopwatch(&self) -> Stopwatch {
         Stopwatch(self.inner.as_ref().map(|_| Instant::now()))
     }

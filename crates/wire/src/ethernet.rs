@@ -37,62 +37,24 @@ impl From<EtherType> for u16 {
     }
 }
 
-/// A decoded Ethernet II frame: header fields plus owned payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EthernetFrame {
-    /// Destination MAC address.
-    pub dst: MacAddr,
-    /// Source MAC address.
-    pub src: MacAddr,
-    /// Protocol of the payload.
-    pub ethertype: EtherType,
-    /// Payload bytes (an IPv4 packet when `ethertype == Ipv4`).
-    pub payload: Vec<u8>,
+/// Append an Ethernet II header to `out`; the payload goes right after.
+pub fn encode_header(dst: MacAddr, src: MacAddr, ethertype: EtherType, out: &mut Vec<u8>) {
+    out.extend_from_slice(&dst.0);
+    out.extend_from_slice(&src.0);
+    out.extend_from_slice(&u16::from(ethertype).to_be_bytes());
 }
 
-impl EthernetFrame {
-    /// Build an IPv4 frame.
-    pub fn ipv4(dst: MacAddr, src: MacAddr, payload: Vec<u8>) -> Self {
-        EthernetFrame {
-            dst,
-            src,
-            ethertype: EtherType::Ipv4,
-            payload,
-        }
-    }
-
-    /// Serialize to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&u16::from(self.ethertype).to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Parse from wire bytes.
-    pub fn decode(data: &[u8]) -> Result<Self, WireError> {
-        if data.len() < HEADER_LEN {
-            return Err(WireError::Truncated {
-                layer: "ethernet",
-                needed: HEADER_LEN,
-                got: data.len(),
-            });
-        }
-        let mut dst = [0u8; 6];
-        let mut src = [0u8; 6];
-        dst.copy_from_slice(&data[0..6]);
-        src.copy_from_slice(&data[6..12]);
-        let ethertype = u16::from_be_bytes([data[12], data[13]]).into();
-        Ok(EthernetFrame {
-            dst: MacAddr(dst),
-            src: MacAddr(src),
-            ethertype,
-            // Guarded: len >= HEADER_LEN checked on entry. lint: index-ok
-            payload: data[HEADER_LEN..].to_vec(),
-        })
-    }
+/// The EtherType and the borrowed payload of a frame, without copying
+/// anything.
+pub fn split(data: &[u8]) -> Result<(EtherType, &[u8]), WireError> {
+    let (Some(header), Some(payload)) = (data.get(..HEADER_LEN), data.get(HEADER_LEN..)) else {
+        return Err(WireError::Truncated {
+            layer: "ethernet",
+            needed: HEADER_LEN,
+            got: data.len(),
+        });
+    };
+    Ok((u16::from_be_bytes([header[12], header[13]]).into(), payload))
 }
 
 #[cfg(test)]
@@ -101,20 +63,21 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let f = EthernetFrame::ipv4(
-            MacAddr::from_host_id(1),
-            MacAddr::from_host_id(2),
-            vec![1, 2, 3, 4],
-        );
-        let bytes = f.encode();
+        let (dst, src) = (MacAddr::from_host_id(1), MacAddr::from_host_id(2));
+        let mut bytes = Vec::new();
+        encode_header(dst, src, EtherType::Ipv4, &mut bytes);
+        bytes.extend_from_slice(&[1, 2, 3, 4]);
         assert_eq!(bytes.len(), HEADER_LEN + 4);
-        let g = EthernetFrame::decode(&bytes).unwrap();
-        assert_eq!(f, g);
+        assert_eq!((&bytes[0..6], &bytes[6..12]), (&dst.0[..], &src.0[..]));
+        assert_eq!(
+            split(&bytes).unwrap(),
+            (EtherType::Ipv4, &[1u8, 2, 3, 4][..])
+        );
     }
 
     #[test]
     fn truncated_header_rejected() {
-        let err = EthernetFrame::decode(&[0u8; 13]).unwrap_err();
+        let err = split(&[0u8; 13]).unwrap_err();
         assert!(matches!(
             err,
             WireError::Truncated {
@@ -134,8 +97,8 @@ mod tests {
 
     #[test]
     fn empty_payload_is_fine() {
-        let f = EthernetFrame::ipv4(MacAddr::ZERO, MacAddr::ZERO, vec![]);
-        let g = EthernetFrame::decode(&f.encode()).unwrap();
-        assert!(g.payload.is_empty());
+        let mut bytes = Vec::new();
+        encode_header(MacAddr::ZERO, MacAddr::ZERO, EtherType::Arp, &mut bytes);
+        assert_eq!(split(&bytes).unwrap(), (EtherType::Arp, &[][..]));
     }
 }

@@ -64,6 +64,14 @@ impl IcmpMessage {
     /// Serialize to wire bytes with a correct checksum.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + 16);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the message to `out`, with its checksum computed over the
+    /// appended bytes.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
         match self {
             IcmpMessage::EchoRequest {
                 ident,
@@ -100,9 +108,10 @@ impl IcmpMessage {
                 out.extend_from_slice(payload);
             }
         }
-        let c = checksum::checksum(&out);
-        out[2..4].copy_from_slice(&c.to_be_bytes());
-        out
+        // Encode path: the message was just appended at `start`. lint: index-ok
+        let message = &mut out[start..];
+        let c = checksum::checksum(message);
+        message[2..4].copy_from_slice(&c.to_be_bytes());
     }
 
     /// Parse from wire bytes, verifying the checksum.

@@ -79,11 +79,19 @@ impl Ipv4Header {
 
     /// Serialize header followed by `payload`, computing the header checksum.
     pub fn encode_with_payload(&self, payload: &[u8]) -> Vec<u8> {
-        let total = HEADER_LEN + payload.len();
-        let mut out = Vec::with_capacity(total);
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        self.encode_into(&mut out, |out| out.extend_from_slice(payload));
+        out
+    }
+
+    /// Append the header to `out`, then let `payload` append the payload
+    /// right behind it; the total length and header checksum are filled
+    /// in afterwards, so the datagram is built in place.
+    pub fn encode_into(&self, out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+        let start = out.len();
         out.push(0x45); // version 4, IHL 5
         out.push(0); // DSCP/ECN
-        out.extend_from_slice(&(total as u16).to_be_bytes());
+        out.extend_from_slice(&[0, 0]); // total length placeholder
         out.extend_from_slice(&self.ident.to_be_bytes());
         out.extend_from_slice(&0x4000u16.to_be_bytes()); // flags: DF
         out.push(self.ttl);
@@ -91,11 +99,13 @@ impl Ipv4Header {
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(&self.src.octets());
         out.extend_from_slice(&self.dst.octets());
-        // Encode path: `out` was just built HEADER_LEN long. lint: index-ok
-        let c = checksum::checksum(&out[..HEADER_LEN]);
-        out[10..12].copy_from_slice(&c.to_be_bytes());
-        out.extend_from_slice(payload);
-        out
+        payload(out);
+        let total = (out.len() - start) as u16;
+        // Encode path: the header was just appended at `start`. lint: index-ok
+        let hdr = &mut out[start..start + HEADER_LEN];
+        hdr[2..4].copy_from_slice(&total.to_be_bytes());
+        let c = checksum::checksum(hdr);
+        hdr[10..12].copy_from_slice(&c.to_be_bytes());
     }
 
     /// Parse a header and return it with the payload slice offset.

@@ -37,11 +37,11 @@ pub mod tcp;
 pub mod udp;
 
 pub use error::WireError;
-pub use ethernet::{EtherType, EthernetFrame};
+pub use ethernet::EtherType;
 pub use icmp::IcmpMessage;
 pub use ipv4::{IpProtocol, Ipv4Header};
 pub use mac::MacAddr;
 pub use packet::{Packet, Transport};
-pub use pcap::{PcapPacket, PcapReader, PcapWriter};
+pub use pcap::PcapWriter;
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::UdpHeader;

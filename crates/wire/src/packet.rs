@@ -11,7 +11,7 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use crate::error::WireError;
-use crate::ethernet::{EtherType, EthernetFrame};
+use crate::ethernet::{self, EtherType};
 use crate::icmp::IcmpMessage;
 use crate::ipv4::{IpProtocol, Ipv4Header};
 use crate::mac::MacAddr;
@@ -159,32 +159,43 @@ impl Packet {
 
     /// Serialize to a raw IPv4 datagram (header + transport bytes).
     pub fn encode_ipv4(&self) -> Vec<u8> {
-        let transport_bytes = match &self.transport {
+        let mut out = Vec::new();
+        self.encode_ipv4_into(&mut out);
+        out
+    }
+
+    /// Append the IPv4 datagram to `out`: header, transport header and
+    /// payload written in place, both checksums computed there.
+    fn encode_ipv4_into(&self, out: &mut Vec<u8>) {
+        let mut hdr = Ipv4Header::new(self.src, self.dst, self.transport.protocol(), 0);
+        hdr.ttl = self.ttl;
+        hdr.encode_into(out, |out| match &self.transport {
             Transport::Tcp { header, payload } => {
-                header.encode_with_payload(self.src, self.dst, payload)
+                header.encode_into(self.src, self.dst, payload, out)
             }
             Transport::Udp { header, payload } => {
-                header.encode_with_payload(self.src, self.dst, payload)
+                header.encode_into(self.src, self.dst, payload, out)
             }
-            Transport::Icmp(msg) => msg.encode(),
-        };
-        let mut hdr = Ipv4Header::new(
-            self.src,
-            self.dst,
-            self.transport.protocol(),
-            transport_bytes.len(),
-        );
-        hdr.ttl = self.ttl;
-        hdr.encode_with_payload(&transport_bytes)
+            Transport::Icmp(msg) => msg.encode_into(out),
+        });
     }
 
     /// Serialize to a complete Ethernet frame (the form stored in pcaps).
     /// MAC addresses are synthesized deterministically from the IPs so
     /// captures are stable across runs.
     pub fn encode_frame(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_frame_into(&mut out);
+        out
+    }
+
+    /// Append the complete Ethernet frame to `out` in one pass: no
+    /// intermediate buffer per layer.
+    pub fn encode_frame_into(&self, out: &mut Vec<u8>) {
         let src_mac = MacAddr::from_host_id(u32::from(self.src));
         let dst_mac = MacAddr::from_host_id(u32::from(self.dst));
-        EthernetFrame::ipv4(dst_mac, src_mac, self.encode_ipv4()).encode()
+        ethernet::encode_header(dst_mac, src_mac, EtherType::Ipv4, out);
+        self.encode_ipv4_into(out);
     }
 
     /// Parse from a raw IPv4 datagram.
@@ -222,11 +233,12 @@ impl Packet {
         })
     }
 
-    /// Parse from a complete Ethernet frame.
+    /// Parse from a complete Ethernet frame, decoding the IPv4 datagram
+    /// straight from the frame slice.
     pub fn decode_frame(data: &[u8]) -> Result<Self, WireError> {
-        let frame = EthernetFrame::decode(data)?;
-        match frame.ethertype {
-            EtherType::Ipv4 => Self::decode_ipv4(&frame.payload),
+        let (ethertype, payload) = ethernet::split(data)?;
+        match ethertype {
+            EtherType::Ipv4 => Self::decode_ipv4(payload),
             other => Err(WireError::Unsupported {
                 layer: "ethernet",
                 what: "ethertype",

@@ -6,7 +6,7 @@
 //! as CnCHunter does) and the analysis pipeline (which trusts only file
 //! bytes, not simulator state).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use malnet_telemetry::Telemetry;
 
@@ -20,35 +20,20 @@ pub const LINKTYPE_ETHERNET: u32 = 1;
 /// Snap length we record: full packets, standard tcpdump default x4.
 pub const SNAPLEN: u32 = 262_144;
 
-/// One captured packet: a timestamp in microseconds plus frame bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapPacket {
-    /// Capture timestamp, microseconds since the epoch of the capture
-    /// (the simulation uses its virtual clock origin).
-    pub ts_micros: u64,
-    /// Raw Ethernet frame bytes.
-    pub frame: Vec<u8>,
-}
-
-impl PcapPacket {
-    /// Parse the frame into a logical [`Packet`].
-    pub fn parse(&self) -> Result<Packet, WireError> {
-        Packet::decode_frame(&self.frame)
-    }
-}
-
 /// Streaming pcap writer.
 pub struct PcapWriter<W: Write> {
     inner: W,
     packets_written: u64,
+    /// Frame buffer reused across [`PcapWriter::write`] calls.
+    frame_buf: Vec<u8>,
     records_encoded: malnet_telemetry::Counter,
     bytes_encoded: malnet_telemetry::Counter,
 }
 
 /// Size of the pcap global header in bytes.
-const GLOBAL_HEADER_LEN: u64 = 24;
+const GLOBAL_HEADER_LEN: usize = 24;
 /// Size of each per-record header in bytes.
-const RECORD_HEADER_LEN: u64 = 16;
+const RECORD_HEADER_LEN: usize = 16;
 
 impl<W: Write> PcapWriter<W> {
     /// Create a writer and emit the global header.
@@ -67,10 +52,11 @@ impl<W: Write> PcapWriter<W> {
         inner.write_all(&SNAPLEN.to_le_bytes())?;
         inner.write_all(&LINKTYPE_ETHERNET.to_le_bytes())?;
         let bytes_encoded = tel.counter("wire.pcap_bytes_encoded");
-        bytes_encoded.add(GLOBAL_HEADER_LEN);
+        bytes_encoded.add(GLOBAL_HEADER_LEN as u64);
         Ok(PcapWriter {
             inner,
             packets_written: 0,
+            frame_buf: Vec::new(),
             records_encoded: tel.counter("wire.pcap_records_encoded"),
             bytes_encoded,
         })
@@ -80,21 +66,29 @@ impl<W: Write> PcapWriter<W> {
     pub fn write_packet(&mut self, ts_micros: u64, frame: &[u8]) -> io::Result<()> {
         let secs = (ts_micros / 1_000_000) as u32;
         let micros = (ts_micros % 1_000_000) as u32;
-        self.inner.write_all(&secs.to_le_bytes())?;
-        self.inner.write_all(&micros.to_le_bytes())?;
-        self.inner.write_all(&(frame.len() as u32).to_le_bytes())?;
-        self.inner.write_all(&(frame.len() as u32).to_le_bytes())?;
+        let mut header = [0u8; RECORD_HEADER_LEN];
+        header[0..4].copy_from_slice(&secs.to_le_bytes());
+        header[4..8].copy_from_slice(&micros.to_le_bytes());
+        header[8..12].copy_from_slice(&(frame.len() as u32).to_le_bytes());
+        header[12..16].copy_from_slice(&(frame.len() as u32).to_le_bytes());
+        self.inner.write_all(&header)?;
         self.inner.write_all(frame)?;
         self.packets_written += 1;
         self.records_encoded.incr();
         self.bytes_encoded
-            .add(RECORD_HEADER_LEN + frame.len() as u64);
+            .add((RECORD_HEADER_LEN + frame.len()) as u64);
         Ok(())
     }
 
-    /// Serialize and append a logical packet.
+    /// Serialize and append a logical packet, encoding its frame into a
+    /// buffer the writer reuses.
     pub fn write(&mut self, ts_micros: u64, packet: &Packet) -> io::Result<()> {
-        self.write_packet(ts_micros, &packet.encode_frame())
+        let mut frame = std::mem::take(&mut self.frame_buf);
+        frame.clear();
+        packet.encode_frame_into(&mut frame);
+        let written = self.write_packet(ts_micros, &frame);
+        self.frame_buf = frame;
+        written
     }
 
     /// Number of packets written so far.
@@ -121,130 +115,82 @@ pub fn to_bytes(packets: &[(u64, Packet)]) -> Vec<u8> {
     w.finish().expect("vec flush cannot fail")
 }
 
-/// Streaming pcap reader, handling both byte orders.
-#[derive(Debug)]
-pub struct PcapReader<R: Read> {
-    inner: R,
-    swapped: bool,
-    /// Link type from the global header.
-    pub linktype: u32,
-}
-
-impl<R: Read> PcapReader<R> {
-    /// Open a capture, parsing the global header.
-    pub fn new(mut inner: R) -> Result<Self, WireError> {
-        let mut hdr = [0u8; 24];
-        read_exact(&mut inner, &mut hdr, "pcap global header")?;
-        let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-        let swapped = match magic {
-            MAGIC_LE => false,
-            m if m == MAGIC_LE.swap_bytes() => true,
-            m => {
-                return Err(WireError::Unsupported {
-                    layer: "pcap",
-                    what: "magic",
-                    value: u64::from(m),
-                })
-            }
-        };
-        let u32_at = |b: &[u8; 24], i: usize| {
-            // Fixed 24-byte array; callers pass i <= 20. lint: index-ok
-            let v = [b[i], b[i + 1], b[i + 2], b[i + 3]];
-            if swapped {
-                u32::from_be_bytes(v)
-            } else {
-                u32::from_le_bytes(v)
-            }
-        };
-        let linktype = u32_at(&hdr, 20);
-        if linktype != LINKTYPE_ETHERNET {
+/// Parse a full capture held in memory, in either byte order, into
+/// logical packets with timestamps, skipping frames that fail to parse
+/// (counted in `.1`). Records are walked over the borrowed bytes; a
+/// truncated record header or body, or a caplen above [`SNAPLEN`], fails
+/// the whole capture.
+pub fn parse_capture(bytes: &[u8]) -> Result<(Vec<(u64, Packet)>, usize), WireError> {
+    let (header, mut rest) =
+        split_array::<GLOBAL_HEADER_LEN>(bytes).ok_or(truncated(GLOBAL_HEADER_LEN))?;
+    let swapped = match u32_at(header, 0, false) {
+        MAGIC_LE => false,
+        m if m == MAGIC_LE.swap_bytes() => true,
+        m => {
             return Err(WireError::Unsupported {
                 layer: "pcap",
-                what: "linktype",
-                value: u64::from(linktype),
-            });
+                what: "magic",
+                value: u64::from(m),
+            })
         }
-        Ok(PcapReader {
-            inner,
-            swapped,
-            linktype,
-        })
+    };
+    let linktype = u32_at(header, 20, swapped);
+    if linktype != LINKTYPE_ETHERNET {
+        return Err(WireError::Unsupported {
+            layer: "pcap",
+            what: "linktype",
+            value: u64::from(linktype),
+        });
     }
-
-    /// Read the next packet; `Ok(None)` at clean end-of-file.
-    pub fn next_packet(&mut self) -> Result<Option<PcapPacket>, WireError> {
-        let mut rec = [0u8; 16];
-        match self.inner.read(&mut rec[..1]) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {}
-            Err(_) => {
-                return Err(WireError::Truncated {
-                    layer: "pcap",
-                    needed: 16,
-                    got: 0,
-                })
-            }
-        }
-        read_exact(&mut self.inner, &mut rec[1..], "pcap record header")?;
-        let u32_at = |b: &[u8; 16], i: usize| {
-            // Fixed 16-byte array; callers pass i <= 12. lint: index-ok
-            let v = [b[i], b[i + 1], b[i + 2], b[i + 3]];
-            if self.swapped {
-                u32::from_be_bytes(v)
-            } else {
-                u32::from_le_bytes(v)
-            }
-        };
-        let secs = u32_at(&rec, 0);
-        let micros = u32_at(&rec, 4);
-        let caplen = u32_at(&rec, 8) as usize;
+    let mut out = Vec::new();
+    let mut skipped = 0usize;
+    while !rest.is_empty() {
+        let (record, body) =
+            split_array::<RECORD_HEADER_LEN>(rest).ok_or(truncated(RECORD_HEADER_LEN))?;
+        let secs = u32_at(record, 0, swapped);
+        let micros = u32_at(record, 4, swapped);
+        let caplen = u32_at(record, 8, swapped) as usize;
         if caplen > SNAPLEN as usize {
             return Err(WireError::Malformed {
                 layer: "pcap",
                 what: "caplen exceeds snaplen",
             });
         }
-        let mut frame = vec![0u8; caplen];
-        read_exact(&mut self.inner, &mut frame, "pcap packet data")?;
-        Ok(Some(PcapPacket {
-            ts_micros: u64::from(secs) * 1_000_000 + u64::from(micros),
-            frame,
-        }))
-    }
-
-    /// Collect all remaining packets.
-    pub fn read_all(mut self) -> Result<Vec<PcapPacket>, WireError> {
-        let mut out = Vec::new();
-        while let Some(p) = self.next_packet()? {
-            out.push(p);
-        }
-        Ok(out)
-    }
-}
-
-/// Parse a full capture held in memory into logical packets with
-/// timestamps, skipping frames that fail to parse (counted in `.1`).
-pub fn parse_capture(bytes: &[u8]) -> Result<(Vec<(u64, Packet)>, usize), WireError> {
-    let reader = PcapReader::new(bytes)?;
-    let mut out = Vec::new();
-    let mut skipped = 0usize;
-    for raw in reader.read_all()? {
-        match raw.parse() {
-            Ok(p) => out.push((raw.ts_micros, p)),
+        let (Some(frame), Some(tail)) = (body.get(..caplen), body.get(caplen..)) else {
+            return Err(truncated(caplen));
+        };
+        rest = tail;
+        match Packet::decode_frame(frame) {
+            Ok(p) => out.push((u64::from(secs) * 1_000_000 + u64::from(micros), p)),
             Err(_) => skipped += 1,
         }
     }
     Ok((out, skipped))
 }
 
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8], what: &'static str) -> Result<(), WireError> {
-    r.read_exact(buf).map_err(|_| WireError::Truncated {
+/// The first `N` bytes as an array, and the rest.
+fn split_array<const N: usize>(bytes: &[u8]) -> Option<(&[u8; N], &[u8])> {
+    let head = bytes.get(..N)?.try_into().ok()?;
+    Some((head, bytes.get(N..)?))
+}
+
+/// The `u32` at `at` in a fixed-size header, in the capture's byte order.
+fn u32_at<const N: usize>(header: &[u8; N], at: usize, swapped: bool) -> u32 {
+    // Fixed-size headers; callers pass constant offsets <= N - 4. lint: index-ok
+    let v = [header[at], header[at + 1], header[at + 2], header[at + 3]];
+    if swapped {
+        u32::from_be_bytes(v)
+    } else {
+        u32::from_le_bytes(v)
+    }
+}
+
+fn truncated(needed: usize) -> WireError {
+    WireError::Truncated {
         layer: "pcap",
-        needed: buf.len(),
+        needed,
         got: 0,
-    })?;
-    let _ = what;
-    Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -308,41 +254,103 @@ mod tests {
         assert_eq!(parsed[0].0, 3_000_007);
     }
 
+    /// `bytes` plus one little-endian record carrying `frame` with the
+    /// given caplen field.
+    fn with_record(mut bytes: Vec<u8>, caplen: u32, frame: &[u8]) -> Vec<u8> {
+        bytes.extend_from_slice(&9u32.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&caplen.to_le_bytes());
+        bytes.extend_from_slice(&caplen.to_le_bytes());
+        bytes.extend_from_slice(frame);
+        bytes
+    }
+
     #[test]
-    fn truncated_record_reports_error() {
+    fn truncated_record_body_is_an_error() {
         let mut bytes = to_bytes(&sample_packets());
         bytes.truncate(bytes.len() - 3);
-        let reader = PcapReader::new(&bytes[..]).unwrap();
-        assert!(reader.read_all().is_err());
+        assert!(matches!(
+            parse_capture(&bytes).unwrap_err(),
+            WireError::Truncated { layer: "pcap", .. }
+        ));
+    }
+
+    #[test]
+    fn truncated_record_header_is_an_error() {
+        let full = to_bytes(&sample_packets());
+        for cut in 1..RECORD_HEADER_LEN {
+            let mut bytes = full.clone();
+            bytes.extend_from_slice(&[0u8; RECORD_HEADER_LEN][..cut]);
+            assert!(
+                matches!(
+                    parse_capture(&bytes).unwrap_err(),
+                    WireError::Truncated { layer: "pcap", .. }
+                ),
+                "{cut}-byte record header"
+            );
+        }
+    }
+
+    #[test]
+    fn caplen_above_snaplen_is_an_error() {
+        let frame = vec![0u8; SNAPLEN as usize + 1];
+        let bytes = with_record(to_bytes(&sample_packets()), SNAPLEN + 1, &frame);
+        assert!(matches!(
+            parse_capture(&bytes).unwrap_err(),
+            WireError::Malformed {
+                what: "caplen exceeds snaplen",
+                ..
+            }
+        ));
     }
 
     #[test]
     fn bad_magic_rejected() {
         let bytes = [0u8; 24];
         assert!(matches!(
-            PcapReader::new(&bytes[..]).unwrap_err(),
+            parse_capture(&bytes).unwrap_err(),
             WireError::Unsupported { what: "magic", .. }
+        ));
+        assert!(matches!(
+            parse_capture(&bytes[..23]).unwrap_err(),
+            WireError::Truncated { layer: "pcap", .. }
         ));
     }
 
     #[test]
     fn corrupt_frame_is_skipped_not_fatal() {
-        let mut pkts = sample_packets();
-        let bytes = to_bytes(&pkts);
-        // Append a record with garbage frame bytes.
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        let _ = &mut w;
-        let mut all = bytes.clone();
-        let garbage = [0xffu8; 30];
-        all.extend_from_slice(&9u32.to_le_bytes());
-        all.extend_from_slice(&0u32.to_le_bytes());
-        all.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
-        all.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
-        all.extend_from_slice(&garbage);
+        let pkts = sample_packets();
+        let all = with_record(to_bytes(&pkts), 30, &[0xffu8; 30]);
         let (parsed, skipped) = parse_capture(&all).unwrap();
-        assert_eq!(parsed.len(), pkts.len());
+        assert_eq!(parsed, pkts);
         assert_eq!(skipped, 1);
-        pkts.clear();
+    }
+
+    #[test]
+    fn non_ipv4_frame_is_skipped_and_counted() {
+        let pkts = sample_packets();
+        // An ARP frame (EtherType 0x0806) between two good records.
+        let mut arp = pkts[0].1.encode_frame();
+        arp[12..14].copy_from_slice(&0x0806u16.to_be_bytes());
+        let good = pkts[1].1.encode_frame();
+        let bytes = with_record(to_bytes(&pkts[..1]), arp.len() as u32, &arp);
+        let bytes = with_record(bytes, good.len() as u32, &good);
+        let (parsed, skipped) = parse_capture(&bytes).unwrap();
+        assert_eq!(
+            parsed,
+            vec![pkts[0].clone(), (9_000_000, pkts[1].1.clone())]
+        );
+        assert_eq!(skipped, 1);
+    }
+
+    #[test]
+    fn encode_frame_into_appends_to_the_buffer() {
+        let (_, p) = &sample_packets()[2];
+        let mut buf = b"prefix".to_vec();
+        p.encode_frame_into(&mut buf);
+        assert_eq!(&buf[..6], b"prefix");
+        assert_eq!(buf[6..], p.encode_frame());
+        assert_eq!(Packet::decode_frame(&buf[6..]).unwrap(), *p);
     }
 
     #[test]

@@ -112,8 +112,16 @@ pub struct TcpHeader {
 impl TcpHeader {
     /// Serialize header + payload with a correct pseudo-header checksum.
     pub fn encode_with_payload(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        self.encode_into(src, dst, payload, &mut out);
+        out
+    }
+
+    /// Append header + payload to `out`, with the pseudo-header
+    /// checksum computed over the appended bytes.
+    pub fn encode_into(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut Vec<u8>) {
+        let start = out.len();
         let total = HEADER_LEN + payload.len();
-        let mut out = Vec::with_capacity(total);
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
@@ -124,12 +132,13 @@ impl TcpHeader {
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(&[0, 0]); // urgent pointer
         out.extend_from_slice(payload);
+        // Encode path: the segment was just appended at `start`. lint: index-ok
+        let segment = &mut out[start..];
         let mut c = Checksum::new();
         c.push_pseudo_header(src, dst, 6, total as u16);
-        c.push(&out);
+        c.push(segment);
         let sum = c.finish();
-        out[16..18].copy_from_slice(&sum.to_be_bytes());
-        out
+        segment[16..18].copy_from_slice(&sum.to_be_bytes());
     }
 
     /// Parse a TCP segment, verifying the pseudo-header checksum, and

@@ -20,22 +20,31 @@ pub struct UdpHeader {
 impl UdpHeader {
     /// Serialize header + payload with a correct pseudo-header checksum.
     pub fn encode_with_payload(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        self.encode_into(src, dst, payload, &mut out);
+        out
+    }
+
+    /// Append header + payload to `out`, with the pseudo-header
+    /// checksum computed over the appended bytes.
+    pub fn encode_into(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8], out: &mut Vec<u8>) {
+        let start = out.len();
         let total = HEADER_LEN + payload.len();
-        let mut out = Vec::with_capacity(total);
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&(total as u16).to_be_bytes());
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(payload);
+        // Encode path: the datagram was just appended at `start`. lint: index-ok
+        let datagram = &mut out[start..];
         let mut c = Checksum::new();
         c.push_pseudo_header(src, dst, 17, total as u16);
-        c.push(&out);
+        c.push(datagram);
         let mut sum = c.finish();
         if sum == 0 {
             sum = 0xffff; // RFC 768: transmitted 0 means "no checksum"
         }
-        out[6..8].copy_from_slice(&sum.to_be_bytes());
-        out
+        datagram[6..8].copy_from_slice(&sum.to_be_bytes());
     }
 
     /// Parse a UDP datagram, verifying length and checksum, returning the
