@@ -48,6 +48,7 @@ const EXPECTED_COUNTERS: &[&str] = &[
     "prober.probes_sent",
     "sandbox.instructions_retired",
     "sandbox.syscalls_serviced",
+    "sandbox.idle_steps_skipped",
     "netsim.packets_delivered",
     "netsim.dns_queries",
     "wire.pcap_bytes_encoded",

@@ -63,7 +63,7 @@ use crate::datasets::{
     TriageRecord,
 };
 use crate::ddos;
-use crate::prober::{self, ProbeConfig};
+use crate::prober::{self, add_nonzero, syn_sweep, ProbeConfig, Sweep};
 
 /// The monitor host used for liveness probes and DNS lookups.
 pub const MONITOR_IP: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 7);
@@ -1783,10 +1783,11 @@ fn family_from_label(label: Option<&str>) -> Option<Family> {
     }
 }
 
-/// One liveness sweep over `targets` (`(addr, ip, port)`) from the
-/// monitor host: every target gets a SYN; misses are re-probed up to
+/// One liveness sweep over `targets` (`(addr, ip, port)`, distinct) from
+/// the monitor host: every target gets a SYN; misses are re-probed up to
 /// `syn_retries` more times with linear backoff (8 s, 16 s, 24 s, …).
-/// Returns the addresses that completed a TCP handshake in any round.
+/// Returns the addresses that completed a TCP handshake in any round,
+/// in the order their handshakes completed.
 ///
 /// The retry loop is the defence against transient loss: with
 /// `syn_retries == 0` a single dropped SYN (or a C2 mid-reboot) reads
@@ -1794,10 +1795,10 @@ fn family_from_label(label: Option<&str>) -> Option<Family> {
 /// windows erases a live C2's entry — the bug the
 /// `syn_retry_survives_transient_loss` regression test pins down.
 ///
-/// The `pipeline.liveness_retries` counter ticks once per re-probe SYN
-/// actually sent (a retry-round connection for a still-pending target),
-/// never ahead of the probe itself — semantics pinned by the
-/// `liveness_retry_counter_counts_actual_reprobes` regression test.
+/// The `pipeline.liveness_retries` counter counts the re-probe SYNs
+/// actually sent (retry-round connections for still-pending targets) —
+/// semantics pinned by the `liveness_retry_counter_counts_actual_reprobes`
+/// regression test.
 ///
 /// Public so the regression suite can drive the sweep against a
 /// hand-built network; the pipeline calls it from the reduce's daily
@@ -1808,70 +1809,34 @@ pub fn liveness_probe_rounds(
     syn_retries: u32,
     tel: &Telemetry,
 ) -> Vec<String> {
-    let added = !net.has_host(MONITOR_IP);
-    if added {
-        net.add_external_host(MONITOR_IP);
-    }
-    let mut live: Vec<String> = Vec::new();
-    let mut pending: Vec<(String, Ipv4Addr, u16)> = targets.to_vec();
-    for attempt in 0..=syn_retries {
-        if pending.is_empty() {
-            break;
-        }
-        let mut socks: BTreeMap<u64, String> = BTreeMap::new();
-        for (addr, ip, port) in &pending {
-            // Count each re-probe as it is sent — a retry that never
-            // happens (everything already answered) must not count.
-            if attempt > 0 {
-                tel.add("pipeline.liveness_retries", 1);
-            }
-            let sock = net.ext_tcp_connect(MONITOR_IP, *ip, *port);
-            socks.insert(sock.0, addr.clone());
-        }
-        net.run_for(SimDuration::from_secs(8 * (u64::from(attempt) + 1)));
-        for ev in net.ext_events(MONITOR_IP) {
-            if let SockEvent::Connected(s) = ev {
-                if let Some(addr) = socks.get(&s.0) {
-                    live.push(addr.clone());
-                }
-            }
-        }
-        for &sock in socks.keys() {
-            net.ext_tcp_abort(MONITOR_IP, malnet_netsim::stack::SockId(sock));
-        }
-        net.run_for(SimDuration::from_secs(1));
-        net.ext_events(MONITOR_IP);
-        pending.retain(|(addr, _, _)| !live.contains(addr));
-    }
-    if added {
-        net.remove_host(MONITOR_IP);
-    }
-    live
+    let endpoints: Vec<(Ipv4Addr, u16)> =
+        targets.iter().map(|(_, ip, port)| (*ip, *port)).collect();
+    let sweep = monitor_sweep(net, &endpoints, syn_retries);
+    add_nonzero(tel, "pipeline.liveness_retries", sweep.retries);
+    sweep
+        .answered
+        .into_iter()
+        .map(|t| targets[t].0.clone())
+        .collect()
 }
 
-/// TCP liveness probe from the monitor host.
+/// Single-SYN TCP liveness probe from the monitor host.
 fn tcp_probe(net: &mut Network, ip: Ipv4Addr, port: u16) -> bool {
+    !monitor_sweep(net, &[(ip, port)], 0).answered.is_empty()
+}
+
+/// [`syn_sweep`] from the monitor host, which is added for the sweep
+/// when the network lacks it.
+fn monitor_sweep(net: &mut Network, endpoints: &[(Ipv4Addr, u16)], syn_retries: u32) -> Sweep {
     let added = !net.has_host(MONITOR_IP);
     if added {
         net.add_external_host(MONITOR_IP);
     }
-    let sock = net.ext_tcp_connect(MONITOR_IP, ip, port);
-    net.run_for(SimDuration::from_secs(8));
-    let mut live = false;
-    for ev in net.ext_events(MONITOR_IP) {
-        if let SockEvent::Connected(s) = ev {
-            if s == sock {
-                live = true;
-            }
-        }
-    }
-    net.ext_tcp_abort(MONITOR_IP, sock);
-    net.run_for(SimDuration::from_secs(1));
-    net.ext_events(MONITOR_IP);
+    let sweep = syn_sweep(net, MONITOR_IP, endpoints, syn_retries);
     if added {
         net.remove_host(MONITOR_IP);
     }
-    live
+    sweep
 }
 
 /// Resolve a domain against the world resolver.

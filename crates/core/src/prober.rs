@@ -16,7 +16,8 @@ use std::net::Ipv4Addr;
 
 use malnet_botgen::world::World;
 use malnet_netsim::asdb::Prefix;
-use malnet_netsim::stack::SockEvent;
+use malnet_netsim::net::Network;
+use malnet_netsim::stack::{SockEvent, SockId};
 use malnet_netsim::time::{SimDuration, SimTime};
 use malnet_prng::sub_seed;
 use malnet_sandbox::{AnalysisMode, Sandbox, SandboxConfig};
@@ -97,8 +98,11 @@ impl ProbeConfig {
 pub struct RoundResult {
     /// Which round (0-based across the whole window) this is.
     pub round: u32,
-    /// Per surviving listener, in sweep (subnet, ip, port) order:
-    /// did the weaponized engagement get a protocol answer?
+    /// Per surviving listener, in the order the SYN sweep heard its
+    /// SYN-ACK (attempt by attempt; per-pair latency jitter, not the
+    /// `(subnet, ip, port)` sweep order, decides it): did the weaponized
+    /// engagement get a protocol answer? Weapon rotation and the
+    /// engagement sub-seeds key on this index.
     pub engagements: Vec<((Ipv4Addr, u16), bool)>,
     /// Listeners this round dropped for greeting with a benign banner;
     /// later days skip them.
@@ -111,7 +115,7 @@ pub struct RoundResult {
 /// once are the discovered C2s.
 ///
 /// Permutation-invariant by construction — rounds are sorted by round
-/// number and each round's engagements are already in sweep order —
+/// number and each round's engagements keep their recorded order —
 /// which the merge-permutation proptest exercises directly.
 pub fn merge_round_results(mut rounds: Vec<RoundResult>) -> Vec<ProbedC2> {
     rounds.sort_by_key(|r| r.round);
@@ -247,7 +251,7 @@ fn probe_round(
 
     // --- step 1: listener discovery (batched SYN sweep, with
     // bounded re-probes for unanswered hosts) ---
-    let mut pending: Vec<(Ipv4Addr, u16)> = Vec::new();
+    let mut targets: Vec<(Ipv4Addr, u16)> = Vec::new();
     for subnet in &cfg.subnets {
         for h in 0..cfg.hosts_per_subnet.min(subnet.capacity()) {
             let Some(ip) = subnet.host(h) else { continue };
@@ -255,62 +259,25 @@ fn probe_round(
                 if banner_filtered.contains(&(ip, port)) {
                     continue;
                 }
-                pending.push((ip, port));
+                targets.push((ip, port));
             }
         }
     }
-    let mut listeners: Vec<(Ipv4Addr, u16)> = Vec::new();
-    let mut banners: BTreeMap<(Ipv4Addr, u16), Vec<u8>> = BTreeMap::new();
-    for attempt in 0..=cfg.syn_retries {
-        if pending.is_empty() {
-            break;
-        }
-        let mut socks: BTreeMap<u64, (Ipv4Addr, u16)> = BTreeMap::new();
-        for &(ip, port) in &pending {
-            let sock = net.ext_tcp_connect(PROBER_IP, ip, port);
-            socks.insert(sock.0, (ip, port));
-        }
-        tel.add("prober.probes_sent", socks.len() as u64);
-        if attempt > 0 {
-            tel.add("prober.syn_retries", socks.len() as u64);
-        }
-        net.run_for(SimDuration::from_secs(8 * (u64::from(attempt) + 1)));
-        for ev in net.ext_events(PROBER_IP) {
-            match ev {
-                SockEvent::Connected(s) => {
-                    if let Some(&pair) = socks.get(&s.0) {
-                        listeners.push(pair);
-                    }
-                }
-                SockEvent::TcpData { sock, data } => {
-                    if let Some(&pair) = socks.get(&sock.0) {
-                        banners.entry(pair).or_default().extend(data);
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Close everything we opened.
-        for &sock_raw in socks.keys() {
-            net.ext_tcp_abort(PROBER_IP, malnet_netsim::stack::SockId(sock_raw));
-        }
-        net.run_for(SimDuration::from_secs(1));
-        net.ext_events(PROBER_IP);
-        pending.retain(|pair| !listeners.contains(pair));
-    }
+    let sweep = syn_sweep(&mut net, PROBER_IP, &targets, cfg.syn_retries);
+    add_nonzero(tel, "prober.probes_sent", sweep.probes);
+    add_nonzero(tel, "prober.syn_retries", sweep.retries);
 
     // --- step 2: banner filter ---
+    let mut listeners: Vec<(Ipv4Addr, u16)> = Vec::new();
     let mut newly_filtered: Vec<(Ipv4Addr, u16)> = Vec::new();
-    listeners.retain(|pair| {
-        if let Some(b) = banners.get(pair) {
-            let text = String::from_utf8_lossy(b);
-            if text.contains("Apache") || text.contains("nginx") || text.contains("Server:") {
-                newly_filtered.push(*pair);
-                return false;
-            }
+    for &t in &sweep.answered {
+        let text = String::from_utf8_lossy(&sweep.banners[t]);
+        if text.contains("Apache") || text.contains("nginx") || text.contains("Server:") {
+            newly_filtered.push(targets[t]);
+        } else {
+            listeners.push(targets[t]);
         }
-        true
-    });
+    }
     tel.add("prober.listeners_found", listeners.len() as u64);
     net.remove_host(PROBER_IP);
 
@@ -351,10 +318,141 @@ fn probe_round(
     }
 }
 
+/// What one [`syn_sweep`] learned.
+pub(crate) struct Sweep {
+    /// Indexes of the targets that completed a handshake, in the order
+    /// their `Connected` events arrived, attempt by attempt. Per-pair
+    /// latency jitter decides that order, not the target order.
+    pub(crate) answered: Vec<usize>,
+    /// Payload bytes each target sent before its socket was aborted (a
+    /// service banner), by target index.
+    pub(crate) banners: Vec<Vec<u8>>,
+    /// SYNs sent, first probes and re-probes alike.
+    pub(crate) probes: u64,
+    /// SYNs sent after the first attempt.
+    pub(crate) retries: u64,
+}
+
+/// The SYN sweep behind both D-PC2 listener discovery and the daily C2
+/// liveness probes, from the external host `from`.
+///
+/// Attempt `a` (0 ≤ a ≤ `syn_retries`) sends a SYN to every target that
+/// has not answered yet, in target order, and runs the network for
+/// `8·(a + 1)` s (linear backoff). It then collects `Connected` events
+/// and banners, aborts every socket it opened in target order, runs 1 s
+/// and drains the inbox. Targets must be distinct.
+pub(crate) fn syn_sweep(
+    net: &mut Network,
+    from: Ipv4Addr,
+    targets: &[(Ipv4Addr, u16)],
+    syn_retries: u32,
+) -> Sweep {
+    let mut sweep = Sweep {
+        answered: Vec::new(),
+        banners: vec![Vec::new(); targets.len()],
+        probes: 0,
+        retries: 0,
+    };
+    let mut answered = vec![false; targets.len()];
+    let mut pending: Vec<usize> = (0..targets.len()).collect();
+    for attempt in 0..=syn_retries {
+        if pending.is_empty() {
+            break;
+        }
+        // One attempt's sockets get consecutive ids, so socket
+        // `first + i` probes `pending[i]`.
+        let mut first = 0;
+        for (i, &t) in pending.iter().enumerate() {
+            let (ip, port) = targets[t];
+            let sock = net.ext_tcp_connect(from, ip, port).0;
+            if i == 0 {
+                first = sock;
+            }
+            debug_assert_eq!(sock, first + i as u64, "sweep sockets are consecutive");
+        }
+        let sent = pending.len() as u64;
+        sweep.probes += sent;
+        if attempt > 0 {
+            sweep.retries += sent;
+        }
+        let target_of = |sock: SockId| {
+            let i = usize::try_from(sock.0.checked_sub(first)?).ok()?;
+            pending.get(i).copied()
+        };
+        net.run_for(SimDuration::from_secs(8 * (u64::from(attempt) + 1)));
+        for ev in net.ext_events(from) {
+            match ev {
+                SockEvent::Connected(sock) => {
+                    if let Some(t) = target_of(sock) {
+                        answered[t] = true;
+                        sweep.answered.push(t);
+                    }
+                }
+                SockEvent::TcpData { sock, data } => {
+                    if let Some(t) = target_of(sock) {
+                        sweep.banners[t].extend(data);
+                    }
+                }
+                _ => {}
+            }
+        }
+        for sock in first..first + sent {
+            net.ext_tcp_abort(from, SockId(sock));
+        }
+        net.run_for(SimDuration::from_secs(1));
+        net.ext_events(from);
+        pending.retain(|&t| !answered[t]);
+    }
+    sweep
+}
+
+/// Add `n` to a counter, creating it only when `n > 0` (so a sweep that
+/// sent nothing leaves no zero-valued counter behind).
+pub(crate) fn add_nonzero(tel: &Telemetry, name: &str, n: u64) {
+    if n > 0 {
+        tel.add(name, n);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use malnet_botgen::world::{Calibration, WorldConfig};
+
+    /// The sweep lists listeners in the order their SYN-ACKs arrived, not
+    /// in target order: per-pair latency jitter lets a later target
+    /// answer first. The prober's own capture gives the arrival order
+    /// independently of the sweep's bookkeeping.
+    #[test]
+    fn sweep_lists_listeners_in_syn_ack_arrival_order() {
+        use malnet_netsim::services::SinkService;
+
+        let mut net = Network::new(SimTime::from_day(0, 0), 5);
+        let targets: Vec<(Ipv4Addr, u16)> =
+            (1..=8).map(|h| (Ipv4Addr::new(10, 9, 0, h), 23)).collect();
+        for &(ip, port) in &targets {
+            net.add_service_host(ip, Box::new(SinkService::new(vec![port])));
+        }
+        net.add_external_host(PROBER_IP);
+        net.start_capture(PROBER_IP);
+        let sweep = syn_sweep(&mut net, PROBER_IP, &targets, 0);
+        let arrivals: Vec<usize> = net
+            .stop_capture(PROBER_IP)
+            .iter()
+            .filter(|(_, p)| {
+                p.dst == PROBER_IP && p.tcp_flags().is_some_and(|f| f.syn() && f.ack())
+            })
+            .map(|(_, p)| targets.iter().position(|&(ip, _)| ip == p.src).unwrap())
+            .collect();
+        assert_eq!(arrivals.len(), targets.len(), "every listener answered");
+        assert_eq!(sweep.answered, arrivals);
+        assert_ne!(
+            sweep.answered[0], 0,
+            "fixture: a later target answers first"
+        );
+        assert_eq!(sweep.probes, 8);
+        assert_eq!(sweep.retries, 0);
+    }
 
     /// A reduced probing study: 2 days × 6 rounds over thin subnets.
     #[test]

@@ -820,3 +820,57 @@ fn epoch_sharded_stream_is_foldable_and_shard_invariant() {
         }
     }
 }
+
+/// `sandbox.idle_steps_skipped` counts the polling steps blocking
+/// `connect`/`recv` calls skipped because nothing was due in them. The
+/// count is a function of the simulation alone: non-zero and identical
+/// at every parallelism × day-shard cell, with and without an event
+/// sink, while the datasets stay those of the uninstrumented baseline.
+#[test]
+fn idle_step_counter_is_schedule_invariant() {
+    use malnet_telemetry::EventSink;
+
+    let seed = 6161;
+    let world = test_world(seed);
+    let run = |shards: usize, par: usize, tel: Telemetry| {
+        let opts = PipelineOpts {
+            seed,
+            parallelism: par,
+            day_shards: shards,
+            max_samples: Some(24),
+            ..PipelineOpts::fast()
+        };
+        let (data, vendors) = Pipeline::with_telemetry(opts, tel).run(&world);
+        (data.canonical_dump(), vendors.canonical_dump())
+    };
+    let baseline = run(1, 1, Telemetry::disabled());
+    let mut counts = Vec::new();
+    for (shards, par, sink) in [
+        (1usize, 1usize, false),
+        (1, 8, true),
+        (2, 1, true),
+        (2, 8, false),
+        (8, 1, false),
+        (8, 8, true),
+    ] {
+        let tel = if sink {
+            Telemetry::enabled_with_events(EventSink::in_memory())
+        } else {
+            Telemetry::enabled()
+        };
+        assert_eq!(
+            baseline,
+            run(shards, par, tel.clone()),
+            "instrumented run diverged at day_shards={shards}, parallelism={par}"
+        );
+        counts.push(tel.report().counter("sandbox.idle_steps_skipped"));
+    }
+    assert!(
+        counts[0].unwrap_or(0) > 0,
+        "no polling step was skipped: {counts:?}"
+    );
+    assert!(
+        counts.iter().all(|c| *c == counts[0]),
+        "idle-step counter varies with the schedule: {counts:?}"
+    );
+}

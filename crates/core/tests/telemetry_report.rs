@@ -104,6 +104,7 @@ fn run_report_covers_every_stage() {
         "prober.probes_sent",
         "sandbox.instructions_retired",
         "sandbox.syscalls_serviced",
+        "sandbox.idle_steps_skipped",
         "netsim.packets_delivered",
         "netsim.dns_queries",
         "wire.pcap_bytes_encoded",

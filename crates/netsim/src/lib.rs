@@ -21,7 +21,9 @@
 //!   binds) exposing a miniature sockets API and a stream of
 //!   [`stack::SockEvent`]s.
 //! * [`net`] — the event loop: hosts, links with latency/loss/corruption
-//!   fault injection, timers, connect timeouts, and capture taps.
+//!   fault injection, timers, connect timeouts, and capture taps. Its
+//!   pending events wait in a min-heap plus a FIFO for connect timeouts,
+//!   which arrive already in time order.
 //! * [`dns`] — an authoritative DNS zone service used both by the "real"
 //!   simulated resolver and by the sandbox's InetSim-style fake resolver.
 //! * [`services`] — reusable application services (HTTP file server for
@@ -36,6 +38,7 @@
 pub mod asdb;
 pub mod dns;
 pub mod net;
+mod queue;
 pub mod services;
 pub mod stack;
 pub mod tcp;

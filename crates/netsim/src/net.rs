@@ -17,8 +17,7 @@
 //! taps record traffic per host IP, producing the pcap evidence the
 //! analysis pipeline consumes.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use malnet_prng::rngs::StdRng;
@@ -26,6 +25,7 @@ use malnet_prng::{Rng, SeedableRng};
 
 use malnet_wire::Packet;
 
+use crate::queue::{EventKind, EventQueue, QueuedEvent};
 use crate::stack::{HostStack, SockEvent, SockId};
 use crate::time::{SimDuration, SimTime};
 
@@ -179,49 +179,6 @@ struct HostEntry {
     capture: Option<Vec<(u64, Packet)>>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    Deliver,
-    Timer {
-        host: Ipv4Addr,
-        token: u64,
-    },
-    ConnectTimeout {
-        host: Ipv4Addr,
-        sock: SockId,
-    },
-    /// Scheduled host up/down transition (chaos layer: C2 downtime
-    /// windows). Dispatch calls [`Network::set_host_up`].
-    HostState {
-        host: Ipv4Addr,
-        up: bool,
-    },
-}
-
-struct QueuedEvent {
-    at: SimTime,
-    seq: u64,
-    kind: EventKind,
-    packet: Option<Packet>,
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// Statistics counters for a network run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
@@ -240,11 +197,13 @@ pub struct NetStats {
 /// The simulated Internet.
 pub struct Network {
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    queue: EventQueue,
     // Point queries by IP only; event order comes from the queue, never
     // from host-table iteration. lint: hash-ok
     hosts: HashMap<Ipv4Addr, HostEntry>,
+    /// Hosts with a running capture: while zero, recording a packet
+    /// costs no host lookup.
+    capturing: usize,
     /// Fault model applied to every link.
     pub faults: LinkFaults,
     /// Fault model applied to DNS services on this network (chaos layer).
@@ -299,9 +258,9 @@ impl Network {
     pub fn new(start: SimTime, seed: u64) -> Self {
         Network {
             now: start,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             hosts: HashMap::new(), // lookup-only, see field. lint: hash-ok
+            capturing: 0,
             faults: LinkFaults::default(),
             dns_faults: crate::dns::DnsFaults::default(),
             rng: StdRng::seed_from_u64(seed ^ 0x6d61_6c6e_6574),
@@ -383,7 +342,9 @@ impl Network {
 
     /// Remove a host entirely (its in-flight packets will blackhole).
     pub fn remove_host(&mut self, ip: Ipv4Addr) {
-        self.hosts.remove(&ip);
+        if let Some(h) = self.hosts.remove(&ip) {
+            self.capturing -= usize::from(h.capture.is_some());
+        }
     }
 
     /// Does a host exist at this address?
@@ -414,7 +375,8 @@ impl Network {
     /// (chaos layer: C2 downtime windows). Times in the past fire on the
     /// next event-loop step.
     pub fn schedule_host_state(&mut self, ip: Ipv4Addr, at: SimTime, up: bool) {
-        self.push_event(at, EventKind::HostState { host: ip, up }, None);
+        self.queue
+            .push(at, EventKind::HostState { host: ip, up }, None);
     }
 
     /// Is the host present and up?
@@ -426,16 +388,16 @@ impl Network {
     /// `ip` from now on are recorded.
     pub fn start_capture(&mut self, ip: Ipv4Addr) {
         if let Some(h) = self.hosts.get_mut(&ip) {
+            self.capturing += usize::from(h.capture.is_none());
             h.capture = Some(Vec::new());
         }
     }
 
     /// Stop capturing and return the recorded (timestamp µs, packet) list.
     pub fn stop_capture(&mut self, ip: Ipv4Addr) -> Vec<(u64, Packet)> {
-        self.hosts
-            .get_mut(&ip)
-            .and_then(|h| h.capture.take())
-            .unwrap_or_default()
+        let cap = self.hosts.get_mut(&ip).and_then(|h| h.capture.take());
+        self.capturing -= usize::from(cap.is_some());
+        cap.unwrap_or_default()
     }
 
     /// Peek at a running capture without stopping it.
@@ -448,6 +410,9 @@ impl Network {
     }
 
     fn record(&mut self, ip: Ipv4Addr, ts: SimTime, pkt: &Packet) {
+        if self.capturing == 0 {
+            return;
+        }
         if let Some(h) = self.hosts.get_mut(&ip) {
             if let Some(cap) = h.capture.as_mut() {
                 cap.push((ts.as_micros(), pkt.clone()));
@@ -513,18 +478,7 @@ impl Network {
         }
         let delay = self.latency(pkt.src, pkt.dst);
         let at = self.now + delay;
-        self.push_event(at, EventKind::Deliver, Some(pkt));
-    }
-
-    fn push_event(&mut self, at: SimTime, kind: EventKind, packet: Option<Packet>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(QueuedEvent {
-            at,
-            seq,
-            kind,
-            packet,
-        }));
+        self.queue.push(at, EventKind::Deliver, Some(pkt));
     }
 
     fn flush(&mut self, ip: Ipv4Addr, out: Vec<Packet>, timers: Vec<(SimDuration, u64)>) {
@@ -533,7 +487,8 @@ impl Network {
         }
         for (delay, token) in timers {
             let at = self.now + delay;
-            self.push_event(at, EventKind::Timer { host: ip, token }, None);
+            self.queue
+                .push(at, EventKind::Timer { host: ip, token }, None);
         }
     }
 
@@ -556,13 +511,7 @@ impl Network {
 
     /// Active-open from an external host, arming the SYN timeout.
     pub fn ext_tcp_connect(&mut self, ip: Ipv4Addr, dst: Ipv4Addr, dport: u16) -> SockId {
-        let sock = self.with_external(ip, |s| {
-            let (sock, syn) = s.tcp_connect(dst, dport);
-            (sock, vec![syn])
-        });
-        let at = self.now + CONNECT_TIMEOUT;
-        self.push_event(at, EventKind::ConnectTimeout { host: ip, sock }, None);
-        sock
+        self.ext_open(ip, |s| s.tcp_connect(dst, dport))
     }
 
     /// Active-open from an external host with a fixed source port.
@@ -573,12 +522,23 @@ impl Network {
         dst: Ipv4Addr,
         dport: u16,
     ) -> SockId {
-        let sock = self.with_external(ip, |s| {
-            let (sock, syn) = s.tcp_connect_from(sport, dst, dport);
-            (sock, vec![syn])
-        });
+        self.ext_open(ip, |s| s.tcp_connect_from(sport, dst, dport))
+    }
+
+    /// Run an active open on an external host's stack, send its SYN and
+    /// arm the SYN timeout.
+    fn ext_open(
+        &mut self,
+        ip: Ipv4Addr,
+        open: impl FnOnce(&mut HostStack) -> (SockId, Packet),
+    ) -> SockId {
+        let host = self.hosts.get_mut(&ip).expect("external host exists");
+        debug_assert!(matches!(host.driver, Driver::External(_)));
+        let (sock, syn) = open(&mut host.stack);
+        self.send_packet(syn);
         let at = self.now + CONNECT_TIMEOUT;
-        self.push_event(at, EventKind::ConnectTimeout { host: ip, sock }, None);
+        self.queue
+            .push(at, EventKind::ConnectTimeout { host: ip, sock }, None);
         sock
     }
 
@@ -652,11 +612,7 @@ impl Network {
     /// of events processed.
     pub fn run_until(&mut self, until: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at > until {
-                break;
-            }
-            let Reverse(ev) = self.queue.pop().expect("peeked");
+        while let Some(ev) = self.queue.pop_due(until) {
             self.now = ev.at.max(self.now);
             self.dispatch(ev);
             n += 1;
@@ -671,12 +627,33 @@ impl Network {
         self.run_until(until)
     }
 
+    /// Advance in whole `step`s, as a loop of `run_for(step)` calls that
+    /// stops once something happens or `limit` passes, without visiting
+    /// the steps in which nothing is due. Stops at the first boundary
+    /// `now + k·step` (k ≥ 1) at or after the earlier of the next pending
+    /// event and `limit`, having processed every event due by then.
+    ///
+    /// Exact: each of the k − 1 steps before that boundary would process
+    /// no event and end before `limit`, so the loop would only have
+    /// re-checked unchanged state. Returns that skipped-step count.
+    /// `step` must be non-zero.
+    pub fn run_steps(&mut self, step: SimDuration, limit: SimTime) -> u64 {
+        let stop = self.queue.next_at().map_or(limit, |at| at.min(limit));
+        let steps = stop
+            .since(self.now)
+            .as_micros()
+            .div_ceil(step.as_micros())
+            .max(1);
+        self.run_until(self.now + step.saturating_mul(steps));
+        steps - 1
+    }
+
     /// Run until the queue is empty or `max_events` processed; returns
     /// events processed. Useful for "settle" phases in tests.
     pub fn run_idle(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
         while n < max_events {
-            let Some(Reverse(ev)) = self.queue.pop() else {
+            let Some(ev) = self.queue.pop_due(SimTime(u64::MAX)) else {
                 break;
             };
             self.now = ev.at.max(self.now);
@@ -817,7 +794,8 @@ impl Network {
     /// Arm a timer on a service host from outside (world orchestration).
     pub fn arm_timer(&mut self, ip: Ipv4Addr, delay: SimDuration, token: u64) {
         let at = self.now + delay;
-        self.push_event(at, EventKind::Timer { host: ip, token }, None);
+        self.queue
+            .push(at, EventKind::Timer { host: ip, token }, None);
     }
 
     /// Access the deterministic RNG (world construction convenience).
@@ -1078,5 +1056,142 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b);
+    }
+
+    /// Never installed: SYNs to it blackhole and time out.
+    const C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+
+    /// Accepts connections on port 7 and makes each timer visible at A
+    /// as one UDP datagram.
+    struct Ticker;
+    impl Service for Ticker {
+        fn start(&mut self, ctx: &mut ServiceCtx<'_>) {
+            ctx.tcp_listen(7);
+        }
+        fn on_event(&mut self, _ctx: &mut ServiceCtx<'_>, _ev: SockEvent) {}
+        fn on_timer(&mut self, ctx: &mut ServiceCtx<'_>, token: u64) {
+            ctx.udp_send(9, A, 9, token.to_be_bytes().to_vec());
+        }
+    }
+
+    /// The oracle for [`Network::run_steps`]: the polling loop it
+    /// replaces, one `run_for(step)` at a time until a step processes an
+    /// event or the clock reaches `limit`. Returns the steps before the
+    /// last one, which processed nothing.
+    fn step_loop(net: &mut Network, step: SimDuration, limit: SimTime) -> u64 {
+        let mut skipped = 0;
+        while net.run_for(step) == 0 && net.now() < limit {
+            skipped += 1;
+        }
+        skipped
+    }
+
+    /// A network with A (external, capturing, UDP 9 bound) and B
+    /// (`Ticker`), random link faults, timers on and off the `step` grid,
+    /// B downtime and open connects to B and to the absent C.
+    fn random_net(rng: &mut StdRng, step: SimDuration) -> Network {
+        let t0 = SimTime::from_day(3, 0);
+        let mut net = Network::new(t0, rng.gen_range(0..1_000));
+        net.faults.latency = SimDuration::from_millis(rng.gen_range(1..80));
+        net.faults.jitter = SimDuration::from_millis(rng.gen_range(0..40));
+        net.faults.jitter_seed = rng.gen_range(0..4);
+        if rng.gen_bool(0.3) {
+            net.faults.loss = 0.2;
+        }
+        net.add_service_host(B, Box::new(Ticker));
+        net.add_external_host(A);
+        net.start_capture(A);
+        net.ext_udp_bind(A, 9);
+        for token in 0..rng.gen_range(0..6u64) {
+            let delay = if rng.gen_bool(0.5) {
+                step.saturating_mul(rng.gen_range(0..60))
+            } else {
+                SimDuration::from_micros(rng.gen_range(0..6_000_000))
+            };
+            net.arm_timer(B, delay, token);
+        }
+        if rng.gen_bool(0.3) {
+            let down = t0 + SimDuration::from_micros(rng.gen_range(0..4_000_000));
+            net.schedule_host_state(B, down, false);
+            net.schedule_host_state(B, down + SimDuration::from_secs(2), true);
+        }
+        for _ in 0..rng.gen_range(0..4) {
+            let dst = if rng.gen_bool(0.5) { B } else { C };
+            net.ext_tcp_connect(A, dst, 7);
+        }
+        net
+    }
+
+    /// `run_steps` against the step loop, call by call on twin networks:
+    /// the same clock, the same skipped-step count, the same events
+    /// processed (stats, inbox, what stays queued) and the same capture.
+    /// Limits fall on and off the step grid, timers fall on it, and
+    /// traffic is injected between calls as a guest would.
+    #[test]
+    fn run_steps_matches_the_step_loop() {
+        let mut rng = proptest::test_rng("run_steps_matches_the_step_loop");
+        let mut skipped = 0;
+        for case in 0..300 {
+            let step = SimDuration::from_millis([50, 100, 37][case % 3]);
+            let seed: u64 = rng.gen_range(0..u64::MAX);
+            let mut oracle = random_net(&mut StdRng::seed_from_u64(seed), step);
+            let mut net = random_net(&mut StdRng::seed_from_u64(seed), step);
+            for call in 0..rng.gen_range(1..12) {
+                let wait = match rng.gen_range(0..4) {
+                    0 => SimDuration::ZERO,
+                    1 => step.saturating_mul(rng.gen_range(1..80)),
+                    _ => SimDuration::from_micros(rng.gen_range(1..8_000_000)),
+                };
+                let limit = net.now() + wait;
+                let want = step_loop(&mut oracle, step, limit);
+                let got = net.run_steps(step, limit);
+                let ctx = format!("case {case} call {call} step {step:?} wait {wait:?}");
+                assert_eq!(got, want, "skipped steps, {ctx}");
+                skipped += got;
+                assert_eq!(net.now(), oracle.now(), "clock, {ctx}");
+                assert_eq!(net.stats, oracle.stats, "stats, {ctx}");
+                assert_eq!(net.queue.len(), oracle.queue.len(), "queue, {ctx}");
+                assert_eq!(net.ext_events(A), oracle.ext_events(A), "inbox, {ctx}");
+                match rng.gen_range(0..3) {
+                    0 => {
+                        let dst = if rng.gen_bool(0.5) { B } else { C };
+                        net.ext_tcp_connect(A, dst, 7);
+                        oracle.ext_tcp_connect(A, dst, 7);
+                    }
+                    1 => {
+                        net.ext_udp_send(A, 9, B, 53, vec![1]);
+                        oracle.ext_udp_send(A, 9, B, 53, vec![1]);
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(net.stop_capture(A), oracle.stop_capture(A), "case {case}");
+        }
+        assert!(skipped > 0, "no case skipped a step");
+    }
+
+    /// The two boundary cases spelled out: an event due exactly on a step
+    /// boundary is processed at that boundary, and a limit between
+    /// boundaries overshoots to the next one, as the step loop does.
+    #[test]
+    fn run_steps_lands_on_step_boundaries() {
+        let step = SimDuration::from_millis(100);
+        let mut net = net();
+        net.add_service_host(B, Box::new(Ticker));
+        let t0 = net.now();
+        net.arm_timer(B, step.saturating_mul(3), 1);
+        assert_eq!(net.run_steps(step, t0 + SimDuration::from_secs(10)), 2);
+        assert_eq!(net.now(), t0 + step.saturating_mul(3));
+        assert_eq!(net.stats.sent, 1, "the timer fired on its boundary");
+
+        // With nothing pending, a limit between boundaries overshoots to
+        // the next one.
+        net.run_idle(u64::MAX);
+        let t1 = net.now();
+        assert_eq!(net.run_steps(step, t1 + SimDuration::from_millis(250)), 2);
+        assert_eq!(net.now(), t1 + step.saturating_mul(3));
+        // A limit already reached still takes one step.
+        assert_eq!(net.run_steps(step, t1), 0);
+        assert_eq!(net.now(), t1 + step.saturating_mul(4));
     }
 }

@@ -7,7 +7,7 @@
 //! [`HostStack::handle_packet`], which returns reply packets plus a list
 //! of [`SockEvent`]s for the application.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, hash_map, BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 use malnet_wire::icmp::IcmpMessage;
@@ -125,7 +125,8 @@ pub struct HostStack {
     listeners: BTreeSet<u16>,
     udp_binds: BTreeSet<u16>,
     conns: BTreeMap<ConnKey, (SockId, TcpConn)>,
-    by_sock: BTreeMap<SockId, ConnKey>,
+    // Point queries by socket id only; nothing iterates it. lint: hash-ok
+    by_sock: HashMap<SockId, ConnKey>,
     /// When true, closed UDP ports elicit ICMP port-unreachable and closed
     /// TCP ports elicit RST (a "live host"). When false the stack is
     /// silent, which the network uses to model firewalled hosts.
@@ -143,7 +144,7 @@ impl HostStack {
             listeners: BTreeSet::new(),
             udp_binds: BTreeSet::new(),
             conns: BTreeMap::new(),
-            by_sock: BTreeMap::new(),
+            by_sock: HashMap::new(), // lookup-only, see field. lint: hash-ok
             responds_when_closed: true,
         }
     }
@@ -293,18 +294,21 @@ impl HostStack {
     /// Used by the network's connect-timeout event: if the socket is still
     /// in SYN-SENT, kill it and report the failure.
     pub fn connect_timeout_fired(&mut self, sock: SockId) -> Option<SockEvent> {
-        let state = self.state(sock)?;
-        if state == TcpState::SynSent {
-            if let Some(key) = self.by_sock.remove(&sock) {
-                self.conns.remove(&key);
-            }
-            Some(SockEvent::ConnectFailed {
-                sock,
-                reason: ConnectError::TimedOut,
-            })
-        } else {
-            None
+        let hash_map::Entry::Occupied(by_sock) = self.by_sock.entry(sock) else {
+            return None;
+        };
+        let btree_map::Entry::Occupied(conn) = self.conns.entry(*by_sock.get()) else {
+            return None;
+        };
+        if conn.get().1.state != TcpState::SynSent {
+            return None;
         }
+        conn.remove();
+        by_sock.remove();
+        Some(SockEvent::ConnectFailed {
+            sock,
+            reason: ConnectError::TimedOut,
+        })
     }
 
     /// Drop all connection state (used when a host goes down).
@@ -425,9 +429,10 @@ impl HostStack {
                         data: payload.clone(),
                     });
                 } else if self.responds_when_closed {
-                    let mut original = Vec::with_capacity(32);
-                    original
-                        .extend_from_slice(&pkt.encode_ipv4()[..28.min(pkt.encode_ipv4().len())]);
+                    // Quote the offending datagram's IPv4 header and the
+                    // first 8 bytes of its payload (RFC 792).
+                    let mut original = pkt.encode_ipv4();
+                    original.truncate(28);
                     out.replies.push(Packet::icmp(
                         self.ip,
                         pkt.src,

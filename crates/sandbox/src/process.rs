@@ -6,6 +6,12 @@
 //! captures is realistic. Every syscall also costs a small fixed amount
 //! of virtual time ([`SYSCALL_COST`]), which both models kernel overhead
 //! and guarantees that send-loops make progress through time.
+//!
+//! `connect` and `recv` poll: they advance the clock in fixed steps
+//! (`CONNECT_STEP`, `RECV_STEP`) and re-check the socket after each
+//! until it resolves or the wait times out. Steps in which nothing is
+//! due are skipped outright (`Network::run_steps`), which lands on the
+//! same step boundary with the same state the step-by-step loop would.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
@@ -40,6 +46,10 @@ const SLICE: u64 = 100_000;
 const CONNECT_WAIT: SimDuration = SimDuration::from_secs(4);
 /// Default receive timeout when the guest passes 0.
 const DEFAULT_RECV_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// Polling step of a blocking `connect`.
+const CONNECT_STEP: SimDuration = SimDuration::from_millis(50);
+/// Polling step of a blocking `recv`.
+const RECV_STEP: SimDuration = SimDuration::from_millis(100);
 
 /// Why the process stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,6 +144,9 @@ pub struct BotProcess {
     pub syscall_count: u64,
     /// Faults the sub-plan actually injected into this run.
     pub fault_tally: EmuFaultTally,
+    /// Polling steps of blocking `connect`/`recv` calls skipped because
+    /// nothing was due in them (diagnostics).
+    pub(crate) idle_steps_skipped: u64,
 }
 
 impl BotProcess {
@@ -164,6 +177,7 @@ impl BotProcess {
             executed: 0,
             syscall_count: 0,
             fault_tally: EmuFaultTally::default(),
+            idle_steps_skipped: 0,
         })
     }
 
@@ -391,9 +405,9 @@ impl BotProcess {
                     *peer_closed = false;
                 }
                 // Block until resolution.
-                let give_up = sb.net.now() + CONNECT_WAIT;
+                let give_up = (sb.net.now() + CONNECT_WAIT).min(deadline);
                 loop {
-                    sb.net.run_for(SimDuration::from_millis(50));
+                    self.idle_steps_skipped += sb.net.run_steps(CONNECT_STEP, give_up);
                     self.pump(sb);
                     let st = match self.fds.get(&a0) {
                         Some(Fd::Tcp { state, .. }) => *state,
@@ -409,7 +423,7 @@ impl BotProcess {
                             break;
                         }
                         TcpState::Connecting => {
-                            if sb.net.now() >= give_up || sb.net.now() >= deadline {
+                            if sb.net.now() >= give_up {
                                 self.ret_err(sys::ETIMEDOUT);
                                 break;
                             }
@@ -461,7 +475,7 @@ impl BotProcess {
                 } else {
                     SimDuration::from_millis(u64::from(a3))
                 };
-                let give_up = sb.net.now() + timeout;
+                let give_up = (sb.net.now() + timeout).min(deadline);
                 loop {
                     self.pump(sb);
                     let ready = match self.fds.get(&a0) {
@@ -477,11 +491,11 @@ impl BotProcess {
                     if ready {
                         break;
                     }
-                    if sb.net.now() >= give_up || sb.net.now() >= deadline {
+                    if sb.net.now() >= give_up {
                         self.ret_err(sys::ETIMEDOUT);
                         return None;
                     }
-                    sb.net.run_for(SimDuration::from_millis(100));
+                    self.idle_steps_skipped += sb.net.run_steps(RECV_STEP, give_up);
                 }
                 let max = a2 as usize;
                 let chunk: Vec<u8> = match self.fds.get_mut(&a0) {

@@ -163,6 +163,9 @@ struct SandboxTelemetry {
     runs: malnet_telemetry::Counter,
     instructions: malnet_telemetry::Counter,
     syscalls: malnet_telemetry::Counter,
+    /// Polling steps of blocking `connect`/`recv` calls skipped because
+    /// nothing was due in them (`Network::run_steps`).
+    idle_steps_skipped: malnet_telemetry::Counter,
     exploits: malnet_telemetry::Counter,
     /// Simulated seconds of sandbox execution granted — a wall-clock-free
     /// progress denominator for event-stream heartbeats.
@@ -178,6 +181,7 @@ impl SandboxTelemetry {
             runs: tel.counter("sandbox.runs"),
             instructions: tel.counter("sandbox.instructions_retired"),
             syscalls: tel.counter("sandbox.syscalls_serviced"),
+            idle_steps_skipped: tel.counter("sandbox.idle_steps_skipped"),
             exploits: tel.counter("sandbox.exploits_captured"),
             vtime_secs: tel.counter("sandbox.vtime_secs"),
             emu_faults: tel.counter("chaos.emu_faults_injected"),
@@ -340,23 +344,26 @@ impl Sandbox {
             fd_cap: self.cfg.fd_cap,
             faults: self.cfg.emu_faults,
         };
-        let (exit, instructions, syscalls, emu_faults) = match BotProcess::load(elf_bytes, pcfg) {
-            Some(mut proc) => {
-                let exit = proc.run(self, deadline);
-                (
-                    exit,
-                    proc.instructions(),
-                    proc.syscall_count,
-                    proc.fault_tally,
-                )
-            }
-            None => (
-                ExitReason::Fault("unloadable ELF".to_string()),
-                0,
-                0,
-                EmuFaultTally::default(),
-            ),
-        };
+        let (exit, instructions, syscalls, idle_steps_skipped, emu_faults) =
+            match BotProcess::load(elf_bytes, pcfg) {
+                Some(mut proc) => {
+                    let exit = proc.run(self, deadline);
+                    (
+                        exit,
+                        proc.instructions(),
+                        proc.syscall_count,
+                        proc.idle_steps_skipped,
+                        proc.fault_tally,
+                    )
+                }
+                None => (
+                    ExitReason::Fault("unloadable ELF".to_string()),
+                    0,
+                    0,
+                    0,
+                    EmuFaultTally::default(),
+                ),
+            };
         // Instructions/sec is *derived*, never recorded: wall-clock
         // values must not feed counters or histograms (they would break
         // schedule-invariance; see DESIGN.md §8). Reports divide the
@@ -392,6 +399,7 @@ impl Sandbox {
         self.tel_handles.runs.incr();
         self.tel_handles.instructions.add(instructions);
         self.tel_handles.syscalls.add(syscalls);
+        self.tel_handles.idle_steps_skipped.add(idle_steps_skipped);
         self.tel_handles.vtime_secs.add(duration.as_secs());
         self.tel_handles.emu_faults.add(emu_faults.total());
         self.tel_handles.instructions_per_run.record(instructions);
