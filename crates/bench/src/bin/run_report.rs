@@ -51,6 +51,7 @@ const EXPECTED_COUNTERS: &[&str] = &[
     "sandbox.idle_steps_skipped",
     "netsim.packets_delivered",
     "netsim.dns_queries",
+    "netsim.hosts_built",
     "wire.pcap_bytes_encoded",
     "wire.pcap_records_encoded",
 ];

@@ -93,36 +93,27 @@ struct Session {
     logged_in: bool,
 }
 
-/// Persistent responsiveness-chain state, shared across service
-/// reinstantiations (the world rebuilds per-day networks, but a server's
-/// mood does not reset at midnight).
-pub type RespondState = Arc<Mutex<bool>>;
-
 /// The C2 server service.
 pub struct C2Service {
     cfg: C2Config,
     log: C2Log,
     sessions: BTreeMap<SockId, Session>,
-    last_engaged: RespondState,
+    /// Markov chain state: was the last session engaged?
+    last_engaged: bool,
     timers: BTreeMap<u64, (SockId, usize)>,
     next_timer: u64,
     commands_scheduled: bool,
 }
 
 impl C2Service {
-    /// Create a service with a shared ground-truth log.
+    /// Create a service with a shared ground-truth log. Its
+    /// responsiveness chain starts "last session silent".
     pub fn new(cfg: C2Config, log: C2Log) -> Self {
-        Self::with_state(cfg, log, RespondState::default())
-    }
-
-    /// Create a service whose Markov responsiveness state persists in
-    /// `state` across reinstantiations.
-    pub fn with_state(cfg: C2Config, log: C2Log, state: RespondState) -> Self {
         C2Service {
             cfg,
             log,
             sessions: BTreeMap::new(),
-            last_engaged: state,
+            last_engaged: false,
             timers: BTreeMap::new(),
             next_timer: 1,
             commands_scheduled: false,
@@ -137,7 +128,7 @@ impl C2Service {
                 after_engage,
                 after_silent,
             } => {
-                let p = if *self.last_engaged.lock().unwrap() {
+                let p = if self.last_engaged {
                     after_engage
                 } else {
                     after_silent
@@ -145,7 +136,7 @@ impl C2Service {
                 ctx.rng().gen_bool(p)
             }
         };
-        *self.last_engaged.lock().unwrap() = engaged;
+        self.last_engaged = engaged;
         engaged
     }
 

@@ -21,6 +21,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
+use std::ops::Range;
+use std::sync::Arc;
 
 use malnet_prng::rngs::StdRng;
 use malnet_prng::seq::SliceRandom;
@@ -28,14 +30,14 @@ use malnet_prng::{Rng, SeedableRng};
 
 use malnet_netsim::asdb::{standard_internet, AsDb, AsKind, Asn, Prefix};
 use malnet_netsim::dns::{DnsHandle, DnsService};
-use malnet_netsim::net::Network;
-use malnet_netsim::services::{BannerService, SinkService};
+use malnet_netsim::net::{HostSource, Network, Service};
+use malnet_netsim::services::{BannerService, HttpFileServer, SinkService};
 use malnet_netsim::time::{days_of_study_week, SimDuration, SimTime, STUDY_WEEKS};
 use malnet_protocols::{AttackCommand, AttackMethod, Family};
 use malnet_wire::dns::DomainName;
 
 use crate::binary::emit_elf;
-use crate::c2service::{C2Config, C2Log, C2Service, RespondMode, RespondState};
+use crate::c2service::{C2Config, C2Log, C2Service, RespondMode};
 use crate::exploitdb::VulnId;
 use crate::programs::compile;
 use crate::spec::{BehaviorSpec, C2Endpoint, ExploitPlan};
@@ -169,8 +171,6 @@ pub struct C2Truth {
     pub respond: RespondMode,
     /// Loader served on port 80, if this C2 doubles as a downloader.
     pub serves_loader: Option<String>,
-    /// Persistent responsiveness-chain state (shared with the service).
-    pub respond_state: RespondState,
 }
 
 impl C2Truth {
@@ -246,6 +246,9 @@ pub struct World {
     pub probe_c2_ids: Vec<usize>,
     /// First day of the 2-week probing window.
     pub probe_start_day: u32,
+    /// Every host a world network can hold, taken from the fields above
+    /// once generation is done.
+    roster: Arc<Roster>,
 }
 
 // Compile-time guarantee: worker threads running contained activations
@@ -460,7 +463,6 @@ impl World {
                 dead_day,
                 respond: RespondMode::elusive(),
                 serves_loader: None,
-                respond_state: RespondState::default(),
             });
             id
         };
@@ -703,7 +705,6 @@ impl World {
                 dead_day: probe_start_day + 17,
                 respond: RespondMode::elusive(),
                 serves_loader: None,
-                respond_state: RespondState::default(),
             });
             probe_c2_ids.push(id);
         }
@@ -776,7 +777,7 @@ impl World {
             s.av_detections = malnet_intel_engine_stub(rng);
         }
 
-        World {
+        let mut world = World {
             cfg,
             asdb,
             c2s,
@@ -787,22 +788,10 @@ impl World {
             probe_subnets,
             probe_c2_ids,
             probe_start_day,
-        }
-    }
-
-    /// Reset every C2's Markov responsiveness chain to its initial
-    /// (silent) state.
-    ///
-    /// The chains deliberately persist across per-day networks *within*
-    /// one study run — a server's mood does not reset at midnight — but
-    /// they live in the world, so a second run over the same `World`
-    /// would otherwise start where the first left off and silently
-    /// diverge. The pipeline calls this at the start of every run so a
-    /// run is a pure function of `(world, opts)`.
-    pub fn reset_respond_chains(&self) {
-        for c2 in &self.c2s {
-            *c2.respond_state.lock().unwrap() = false;
-        }
+            roster: Arc::default(),
+        };
+        world.roster = Arc::new(Roster::new(&world));
+        world
     }
 
     /// Samples published on `day`, in id order.
@@ -821,111 +810,185 @@ impl World {
         days
     }
 
-    /// Build the live network for `day`: DNS, every C2 host that exists
-    /// that day (up or down per its schedule), standalone downloaders,
-    /// and the probing theatre when the window is open.
+    /// The world network of `day`: the resolver, every C2 host (up iff
+    /// alive that day), the standalone downloaders, and the probing
+    /// decoys while the probing window is open. The world's roster
+    /// declares these hosts and the network builds each one the first
+    /// time something touches it (DESIGN.md, "World hosts are built on
+    /// first touch"), so a network costs only the hosts its traffic
+    /// reaches.
     ///
-    /// C2 services share the world's persistent Markov
-    /// responsiveness-chain state ([`C2Truth::respond_state`]), so
-    /// sessions on successive networks built from the same world
-    /// continue one chain. That coupling is what forces sequential
-    /// execution; callers that fan networks out across worker threads
-    /// must use [`World::network_for_day_detached`] instead.
-    pub fn network_for_day(&self, day: u32, seed: u64) -> (Network, Vec<C2Log>) {
-        self.build_network(day, seed, false)
-    }
-
-    /// Like [`World::network_for_day`], but every C2 service gets a
-    /// **fresh, private** responsiveness-chain state instead of sharing
-    /// the world's. The returned network is then a pure function of
-    /// `(world, day, seed)` — safe to build and run concurrently on any
-    /// worker thread without racing other networks, which is what the
-    /// parallel restricted-session and prober stages rely on
-    /// (DESIGN.md §8). Chains start in the "last session silent" state,
-    /// exactly like a freshly generated world's.
+    /// Every C2 service gets a fresh, private responsiveness chain in the
+    /// "last session silent" state, and the network's RNG derives from
+    /// `(seed, day)` alone, so the network is a pure function of
+    /// `(world, day, seed)`: safe to build and run concurrently on any
+    /// worker thread (DESIGN.md §8). The log vector is always empty; no
+    /// caller reads C2 ground-truth logs from a world network.
     pub fn network_for_day_detached(&self, day: u32, seed: u64) -> (Network, Vec<C2Log>) {
-        self.build_network(day, seed, true)
+        let mut net = Network::new(SimTime::from_day(day, 0), seed ^ u64::from(day) << 17);
+        net.set_host_source(Box::new(DayHosts {
+            roster: Arc::clone(&self.roster),
+            day,
+        }));
+        (net, Vec::new())
+    }
+}
+
+/// What lives at one world address.
+#[derive(Debug, Clone, Copy)]
+enum Resident {
+    /// The resolver at [`WORLD_RESOLVER`].
+    Resolver,
+    /// A C2 server, by id.
+    C2(usize),
+    /// A standalone downloader, by index into [`World::downloaders`].
+    Downloader(usize),
+    /// A probing-theatre decoy presenting an Apache banner.
+    BannerDecoy,
+    /// A probing-theatre decoy that accepts and never responds.
+    SinkDecoy,
+}
+
+/// What one C2's service needs.
+#[derive(Debug)]
+struct C2Host {
+    family: Family,
+    port: u16,
+    respond: RespondMode,
+    serves_loader: Option<String>,
+    /// Days the host is up.
+    alive: Range<u32>,
+}
+
+/// Every host a world network can hold, with what building each takes.
+/// Built once per world and shared by all its day networks.
+#[derive(Debug, Default)]
+struct Roster {
+    // Point queries by address only. lint: hash-ok
+    residents: HashMap<Ipv4Addr, Resident>,
+    /// The resolver's A records: each DNS-named C2 endpoint and its host.
+    zone: Vec<(DomainName, Ipv4Addr)>,
+    /// By C2 id.
+    c2s: Vec<C2Host>,
+    /// The loader each standalone downloader serves.
+    loaders: Vec<String>,
+    attack_schedule: AttackSchedule,
+    /// Days the decoys exist.
+    probe_window: Range<u32>,
+}
+
+impl Roster {
+    fn new(world: &World) -> Roster {
+        let mut residents = HashMap::new(); // lookup-only, see field. lint: hash-ok
+        let hosts = std::iter::once((WORLD_RESOLVER, Resident::Resolver))
+            .chain(world.c2s.iter().map(|c2| (c2.host_ip, Resident::C2(c2.id))))
+            .chain(
+                (world.downloaders.iter().enumerate())
+                    .map(|(i, (ip, _))| (*ip, Resident::Downloader(i))),
+            );
+        for (ip, resident) in hosts {
+            assert!(
+                residents.insert(ip, resident).is_none(),
+                "duplicate host {ip}"
+            );
+        }
+        // Decoys only take addresses nothing else holds.
+        for (i, subnet) in world.probe_subnets.iter().enumerate() {
+            let banner_ip = subnet.host(60 + i as u32).expect("room");
+            residents.entry(banner_ip).or_insert(Resident::BannerDecoy);
+            let sink_ip = subnet.host(80 + i as u32).expect("room");
+            residents.entry(sink_ip).or_insert(Resident::SinkDecoy);
+        }
+        Roster {
+            residents,
+            zone: world
+                .c2s
+                .iter()
+                .filter_map(|c2| match &c2.endpoint {
+                    C2Endpoint::Domain(d) => Some((DomainName::new(d).ok()?, c2.host_ip)),
+                    C2Endpoint::Ip(_) => None,
+                })
+                .collect(),
+            c2s: world
+                .c2s
+                .iter()
+                .map(|c2| C2Host {
+                    family: c2.family,
+                    port: c2.port,
+                    respond: c2.respond,
+                    serves_loader: c2.serves_loader.clone(),
+                    alive: c2.born_day..c2.dead_day,
+                })
+                .collect(),
+            loaders: world.downloaders.iter().map(|(_, l)| l.clone()).collect(),
+            attack_schedule: world.attack_schedule.clone(),
+            probe_window: world.probe_start_day..world.probe_start_day + 14,
+        }
+    }
+}
+
+/// One day's view of a world's roster: the host source of that day's
+/// networks.
+struct DayHosts {
+    roster: Arc<Roster>,
+    day: u32,
+}
+
+impl HostSource for DayHosts {
+    fn declared(&self, ip: Ipv4Addr) -> Option<bool> {
+        match self.roster.residents.get(&ip)? {
+            Resident::C2(id) => Some(self.roster.c2s[*id].alive.contains(&self.day)),
+            Resident::BannerDecoy | Resident::SinkDecoy => {
+                self.roster.probe_window.contains(&self.day).then_some(true)
+            }
+            Resident::Resolver | Resident::Downloader(_) => Some(true),
+        }
     }
 
-    fn build_network(&self, day: u32, seed: u64, detached: bool) -> (Network, Vec<C2Log>) {
-        let mut net = Network::new(SimTime::from_day(day, 0), seed ^ u64::from(day) << 17);
-        // DNS.
-        let zone = DnsHandle::new();
-        for c2 in &self.c2s {
-            if let C2Endpoint::Domain(d) = &c2.endpoint {
-                if let Ok(name) = DomainName::new(d) {
-                    zone.set(name, vec![c2.host_ip]);
+    fn build(&self, ip: Ipv4Addr) -> Box<dyn Service + Send> {
+        let roster = &*self.roster;
+        match roster.residents.get(&ip).expect("declared host") {
+            Resident::Resolver => {
+                let zone = DnsHandle::new();
+                for (name, host) in &roster.zone {
+                    zone.set(name.clone(), vec![*host]);
                 }
+                Box::new(DnsService::new(zone))
             }
-        }
-        net.add_service_host(WORLD_RESOLVER, Box::new(DnsService::new(zone)));
-        // C2 hosts.
-        let mut logs = Vec::with_capacity(self.c2s.len());
-        for c2 in &self.c2s {
-            let commands = self
-                .attack_schedule
-                .get(&(c2.id, day))
-                .cloned()
-                .unwrap_or_default();
-            let cfg = C2Config {
-                family: c2.family,
-                port: c2.port,
-                respond: if commands.is_empty() {
-                    c2.respond
-                } else {
-                    RespondMode::Always
-                },
-                commands_on_login: commands,
-                serve_loader: c2.serves_loader.clone(),
-            };
-            let log = C2Log::default();
-            let state = if detached {
-                RespondState::default()
-            } else {
-                c2.respond_state.clone()
-            };
-            net.add_service_host(
-                c2.host_ip,
-                Box::new(C2Service::with_state(cfg, log.clone(), state)),
-            );
-            if !c2.alive_on(day) {
-                net.set_host_up(c2.host_ip, false);
+            Resident::C2(id) => {
+                let c2 = &roster.c2s[*id];
+                let commands = roster
+                    .attack_schedule
+                    .get(&(*id, self.day))
+                    .cloned()
+                    .unwrap_or_default();
+                let cfg = C2Config {
+                    family: c2.family,
+                    port: c2.port,
+                    respond: if commands.is_empty() {
+                        c2.respond
+                    } else {
+                        RespondMode::Always
+                    },
+                    commands_on_login: commands,
+                    serve_loader: c2.serves_loader.clone(),
+                };
+                Box::new(C2Service::new(cfg, C2Log::default()))
             }
-            logs.push(log);
-        }
-        // Standalone downloaders.
-        for (ip, loader) in &self.downloaders {
-            // HttpFileServer's constructor takes a HashMap; one entry,
-            // looked up by path only. lint: hash-ok
-            let mut files = HashMap::new();
-            files.insert(
-                format!("/{loader}"),
-                format!("#!/bin/sh\n# {loader}\n").into_bytes(),
-            );
-            net.add_service_host(
-                *ip,
-                Box::new(malnet_netsim::services::HttpFileServer::new(80, files)),
-            );
-        }
-        // Probing theatre decoys.
-        if (self.probe_start_day..self.probe_start_day + 14).contains(&day) {
-            for (i, subnet) in self.probe_subnets.iter().enumerate() {
-                // A banner decoy (filtered out by the prober) ...
-                let banner_ip = subnet.host(60 + i as u32).expect("room");
-                if !net.has_host(banner_ip) {
-                    net.add_service_host(
-                        banner_ip,
-                        Box::new(BannerService::apache(PROBE_PORTS.to_vec())),
-                    );
-                }
-                // ... and a silent sink that accepts but never responds.
-                let sink_ip = subnet.host(80 + i as u32).expect("room");
-                if !net.has_host(sink_ip) {
-                    net.add_service_host(sink_ip, Box::new(SinkService::new(PROBE_PORTS.to_vec())));
-                }
+            Resident::Downloader(i) => {
+                let loader = &roster.loaders[*i];
+                // HttpFileServer's constructor takes a HashMap; one entry,
+                // looked up by path only. lint: hash-ok
+                let mut files = HashMap::new();
+                files.insert(
+                    format!("/{loader}"),
+                    format!("#!/bin/sh\n# {loader}\n").into_bytes(),
+                );
+                Box::new(HttpFileServer::new(80, files))
             }
+            Resident::BannerDecoy => Box::new(BannerService::apache(PROBE_PORTS.to_vec())),
+            Resident::SinkDecoy => Box::new(SinkService::new(PROBE_PORTS.to_vec())),
         }
-        (net, logs)
     }
 }
 
@@ -1306,7 +1369,7 @@ mod tests {
     fn network_for_day_installs_live_c2s_only_up() {
         let w = small_world();
         let day = w.samples[0].publish_day;
-        let (net, _) = w.network_for_day(day, 1);
+        let (net, _) = w.network_for_day_detached(day, 1);
         for c2 in &w.c2s {
             assert!(net.has_host(c2.host_ip), "every C2 host registered");
             assert_eq!(net.host_up(c2.host_ip), c2.alive_on(day), "{}", c2.host_ip);
@@ -1376,3 +1439,6 @@ mod tests {
         assert!((0.55..0.85).contains(&share), "top-10 share {share}");
     }
 }
+
+#[cfg(test)]
+mod lazy_network_oracle;

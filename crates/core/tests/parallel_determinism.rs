@@ -821,15 +821,18 @@ fn epoch_sharded_stream_is_foldable_and_shard_invariant() {
     }
 }
 
+/// Two work counters are functions of the simulation alone:
 /// `sandbox.idle_steps_skipped` counts the polling steps blocking
-/// `connect`/`recv` calls skipped because nothing was due in them. The
-/// count is a function of the simulation alone: non-zero and identical
-/// at every parallelism × day-shard cell, with and without an event
-/// sink, while the datasets stay those of the uninstrumented baseline.
+/// `connect`/`recv` calls skipped because nothing was due in them, and
+/// `netsim.hosts_built` counts the world hosts built on first touch.
+/// Each is non-zero and identical at every parallelism × day-shard
+/// cell, with and without an event sink, while the datasets stay those
+/// of the uninstrumented baseline.
 #[test]
 fn idle_step_counter_is_schedule_invariant() {
     use malnet_telemetry::EventSink;
 
+    const COUNTERS: [&str; 2] = ["sandbox.idle_steps_skipped", "netsim.hosts_built"];
     let seed = 6161;
     let world = test_world(seed);
     let run = |shards: usize, par: usize, tel: Telemetry| {
@@ -863,14 +866,14 @@ fn idle_step_counter_is_schedule_invariant() {
             run(shards, par, tel.clone()),
             "instrumented run diverged at day_shards={shards}, parallelism={par}"
         );
-        counts.push(tel.report().counter("sandbox.idle_steps_skipped"));
+        let report = tel.report();
+        counts.push(COUNTERS.map(|c| report.counter(c).unwrap_or(0)));
+    }
+    for (i, counter) in COUNTERS.iter().enumerate() {
+        assert!(counts[0][i] > 0, "{counter} is zero: {counts:?}");
     }
     assert!(
-        counts[0].unwrap_or(0) > 0,
-        "no polling step was skipped: {counts:?}"
-    );
-    assert!(
         counts.iter().all(|c| *c == counts[0]),
-        "idle-step counter varies with the schedule: {counts:?}"
+        "a work counter varies with the schedule ({COUNTERS:?}): {counts:?}"
     );
 }

@@ -107,6 +107,7 @@ fn run_report_covers_every_stage() {
         "sandbox.idle_steps_skipped",
         "netsim.packets_delivered",
         "netsim.dns_queries",
+        "netsim.hosts_built",
         "wire.pcap_bytes_encoded",
         "wire.pcap_records_encoded",
     ] {

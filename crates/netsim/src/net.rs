@@ -10,6 +10,11 @@
 //!   per-host event inbox (this is how the emulated malware's syscalls
 //!   reach the network).
 //!
+//! A network may also take a [`HostSource`]: hosts it declares count as
+//! present from the start but are built only when something first
+//! touches them, so a world of a thousand servers costs what the
+//! simulation actually reaches.
+//!
 //! Packets experience deterministic per-pair latency plus optional fault
 //! injection ([`LinkFaults`]): loss and corruption probabilities drawn
 //! from the network's seeded RNG. Packets to **down** hosts are silently
@@ -167,6 +172,21 @@ pub trait Service {
     }
 }
 
+/// Hosts a network knows about before it builds them (the world model's
+/// roster). The network asks only for addresses its host table lacks.
+///
+/// A declared host behaves as if it had been installed when the network
+/// was created, provided its service's `start` only listens or binds:
+/// it may send no packet, arm no timer and draw nothing from the network
+/// RNG. Debug builds assert this on every build.
+pub trait HostSource {
+    /// Does a host live at `ip`, and does it start up?
+    fn declared(&self, ip: Ipv4Addr) -> Option<bool>;
+
+    /// Build the service of the host declared at `ip`.
+    fn build(&self, ip: Ipv4Addr) -> Box<dyn Service + Send>;
+}
+
 enum Driver {
     Service(Box<dyn Service + Send>),
     External(VecDeque<SockEvent>),
@@ -201,6 +221,10 @@ pub struct Network {
     // Point queries by IP only; event order comes from the queue, never
     // from host-table iteration. lint: hash-ok
     hosts: HashMap<Ipv4Addr, HostEntry>,
+    /// Declares the hosts not yet in `hosts`; see [`HostSource`].
+    source: Option<Box<dyn HostSource + Send>>,
+    /// Declared addresses whose host was removed: they stay empty.
+    removed: Vec<Ipv4Addr>,
     /// Hosts with a running capture: while zero, recording a packet
     /// costs no host lookup.
     capturing: usize,
@@ -228,6 +252,7 @@ struct NetTelemetry {
     dns_queries: malnet_telemetry::Counter,
     dns_faults: malnet_telemetry::Counter,
     delivered_bytes: malnet_telemetry::Histogram,
+    hosts_built: malnet_telemetry::Counter,
 }
 
 impl NetTelemetry {
@@ -238,6 +263,7 @@ impl NetTelemetry {
             dns_queries: tel.counter("netsim.dns_queries"),
             dns_faults: tel.counter("netsim.dns_faults_injected"),
             delivered_bytes: tel.histogram("netsim.delivered_payload_bytes"),
+            hosts_built: tel.counter("netsim.hosts_built"),
         }
     }
 }
@@ -260,6 +286,8 @@ impl Network {
             now: start,
             queue: EventQueue::default(),
             hosts: HashMap::new(), // lookup-only, see field. lint: hash-ok
+            source: None,
+            removed: Vec::new(),
             capturing: 0,
             faults: LinkFaults::default(),
             dns_faults: crate::dns::DnsFaults::default(),
@@ -294,10 +322,25 @@ impl Network {
         self.filter = None;
     }
 
+    /// Take the hosts `source` declares (replacing any earlier source).
+    /// Each is built the first time a packet is delivered to it while it
+    /// is up, or when [`Network::set_host_up`], a fired
+    /// [`Network::schedule_host_state`], a timer or
+    /// [`Network::start_capture`] touches it. Until then
+    /// [`Network::has_host`] and [`Network::host_up`] answer from the
+    /// source, and packets to a declared-down host blackhole unbuilt.
+    pub fn set_host_source(&mut self, source: Box<dyn HostSource + Send>) {
+        self.source = Some(source);
+    }
+
     /// Install a service host. Panics on duplicate IP (world-construction
-    /// bug).
-    pub fn add_service_host(&mut self, ip: Ipv4Addr, mut service: Box<dyn Service + Send>) {
-        assert!(!self.hosts.contains_key(&ip), "duplicate host {ip}");
+    /// bug), declared hosts included.
+    pub fn add_service_host(&mut self, ip: Ipv4Addr, service: Box<dyn Service + Send>) {
+        assert!(!self.has_host(ip), "duplicate host {ip}");
+        self.install(ip, service, true);
+    }
+
+    fn install(&mut self, ip: Ipv4Addr, mut service: Box<dyn Service + Send>, up: bool) {
         let mut stack = HostStack::new(ip);
         let mut out = Vec::new();
         let mut timers = Vec::new();
@@ -318,17 +361,53 @@ impl Network {
             HostEntry {
                 stack,
                 driver: Driver::Service(service),
-                up: true,
+                up,
                 capture: None,
             },
         );
         self.flush(ip, out, timers);
     }
 
+    /// The source's answer for an address the host table lacks, unless
+    /// that host was removed.
+    fn declared(&self, ip: Ipv4Addr) -> Option<bool> {
+        let up = self.source.as_ref()?.declared(ip)?;
+        (!self.removed.contains(&ip)).then_some(up)
+    }
+
+    /// Build the host declared at `ip`, which the host table lacks, in
+    /// the state the source declares.
+    fn build_declared(&mut self, ip: Ipv4Addr, up: bool) {
+        let service = self
+            .source
+            .as_ref()
+            .expect("only declared hosts are built")
+            .build(ip);
+        let before =
+            cfg!(debug_assertions).then(|| (self.stats, self.queue.len(), self.rng.clone()));
+        self.install(ip, service, up);
+        if let Some(before) = before {
+            assert!(
+                before == (self.stats, self.queue.len(), self.rng.clone()),
+                "declared host {ip} sent, armed a timer or drew from the network RNG in `start`"
+            );
+        }
+        self.tel.hosts_built.incr();
+    }
+
+    /// The host entry at `ip`, building a declared host first.
+    fn touch(&mut self, ip: Ipv4Addr) -> Option<&mut HostEntry> {
+        if !self.hosts.contains_key(&ip) {
+            let up = self.declared(ip)?;
+            self.build_declared(ip, up);
+        }
+        self.hosts.get_mut(&ip)
+    }
+
     /// Install an externally-driven host (the sandbox's malware VM or
     /// prober).
     pub fn add_external_host(&mut self, ip: Ipv4Addr) {
-        assert!(!self.hosts.contains_key(&ip), "duplicate host {ip}");
+        assert!(!self.has_host(ip), "duplicate host {ip}");
         self.hosts.insert(
             ip,
             HostEntry {
@@ -340,16 +419,20 @@ impl Network {
         );
     }
 
-    /// Remove a host entirely (its in-flight packets will blackhole).
+    /// Remove a host entirely (its in-flight packets will blackhole). A
+    /// declared host stays gone.
     pub fn remove_host(&mut self, ip: Ipv4Addr) {
         if let Some(h) = self.hosts.remove(&ip) {
             self.capturing -= usize::from(h.capture.is_some());
+        }
+        if self.declared(ip).is_some() {
+            self.removed.push(ip);
         }
     }
 
     /// Does a host exist at this address?
     pub fn has_host(&self, ip: Ipv4Addr) -> bool {
-        self.hosts.contains_key(&ip)
+        self.hosts.contains_key(&ip) || self.declared(ip).is_some()
     }
 
     /// Mark a host up or down. Taking a host down aborts its connections
@@ -360,7 +443,7 @@ impl Network {
     /// eavesdropping side with dangling TCP state that never resolved.)
     pub fn set_host_up(&mut self, ip: Ipv4Addr, up: bool) {
         let mut rsts = Vec::new();
-        if let Some(h) = self.hosts.get_mut(&ip) {
+        if let Some(h) = self.touch(ip) {
             if h.up && !up {
                 rsts = h.stack.abort_all();
             }
@@ -381,15 +464,19 @@ impl Network {
 
     /// Is the host present and up?
     pub fn host_up(&self, ip: Ipv4Addr) -> bool {
-        self.hosts.get(&ip).map(|h| h.up).unwrap_or(false)
+        match self.hosts.get(&ip) {
+            Some(h) => h.up,
+            None => self.declared(ip) == Some(true),
+        }
     }
 
     /// Enable packet capture on a host; all packets sent or received by
     /// `ip` from now on are recorded.
     pub fn start_capture(&mut self, ip: Ipv4Addr) {
-        if let Some(h) = self.hosts.get_mut(&ip) {
-            self.capturing += usize::from(h.capture.is_none());
+        if let Some(h) = self.touch(ip) {
+            let fresh = h.capture.is_none();
             h.capture = Some(Vec::new());
+            self.capturing += usize::from(fresh);
         }
     }
 
@@ -668,7 +755,16 @@ impl Network {
             EventKind::Deliver => {
                 let pkt = ev.packet.expect("deliver carries packet");
                 let dst = pkt.dst;
-                let up = self.host_up(dst);
+                // Built hosts first: most misses are addresses nothing
+                // occupies, which the source then answers in one lookup.
+                let up = match self.hosts.get(&dst) {
+                    Some(h) => h.up,
+                    None if self.declared(dst) == Some(true) => {
+                        self.build_declared(dst, true);
+                        true
+                    }
+                    None => false,
+                };
                 if !up {
                     self.stats.blackholed += 1;
                     self.tel.dropped.incr();
@@ -722,12 +818,10 @@ impl Network {
                 self.flush(dst, pkts, timers);
             }
             EventKind::Timer { host: ip, token } => {
-                let Some(host) = self.hosts.get_mut(&ip) else {
-                    return;
-                };
-                if !host.up {
+                if !self.touch(ip).is_some_and(|h| h.up) {
                     return;
                 }
+                let host = self.hosts.get_mut(&ip).expect("touched");
                 let mut pkts = Vec::new();
                 let mut timers = Vec::new();
                 let mut driver =
@@ -1193,5 +1287,183 @@ mod tests {
         // A limit already reached still takes one step.
         assert_eq!(net.run_steps(step, t1), 0);
         assert_eq!(net.now(), t1 + step.saturating_mul(4));
+    }
+
+    /// Declared by [`TwoHosts`]: up, and down.
+    const D: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 4);
+    const E: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 5);
+
+    /// Declares D (up) and E (down), both `Upper`.
+    struct TwoHosts;
+    impl HostSource for TwoHosts {
+        fn declared(&self, ip: Ipv4Addr) -> Option<bool> {
+            match ip {
+                D => Some(true),
+                E => Some(false),
+                _ => None,
+            }
+        }
+        fn build(&self, ip: Ipv4Addr) -> Box<dyn Service + Send> {
+            assert!(ip == D || ip == E, "built undeclared {ip}");
+            Box::new(Upper)
+        }
+    }
+
+    /// A network over [`TwoHosts`] with A external, counting builds.
+    fn lazy_net() -> (Network, malnet_telemetry::Telemetry) {
+        let tel = malnet_telemetry::Telemetry::enabled();
+        let mut net = net();
+        net.set_telemetry(&tel);
+        net.set_host_source(Box::new(TwoHosts));
+        net.add_external_host(A);
+        (net, tel)
+    }
+
+    fn built(net: &Network, ip: Ipv4Addr) -> bool {
+        net.hosts.contains_key(&ip)
+    }
+
+    fn builds(tel: &malnet_telemetry::Telemetry) -> u64 {
+        tel.report().counter("netsim.hosts_built").unwrap_or(0)
+    }
+
+    fn connects(net: &mut Network, dst: Ipv4Addr) -> bool {
+        let sock = net.ext_tcp_connect(A, dst, 7);
+        net.run_for(SimDuration::from_secs(5));
+        net.ext_events(A).contains(&SockEvent::Connected(sock))
+    }
+
+    #[test]
+    fn declared_hosts_answer_without_being_built() {
+        let (net, tel) = lazy_net();
+        assert!(net.has_host(D) && net.host_up(D));
+        assert!(net.has_host(E) && !net.host_up(E));
+        assert!(!net.has_host(C) && !net.host_up(C));
+        assert!(!built(&net, D) && !built(&net, E));
+        assert_eq!(builds(&tel), 0);
+    }
+
+    #[test]
+    fn syn_to_a_declared_down_host_blackholes_unbuilt() {
+        let (mut net, _) = lazy_net();
+        let sock = net.ext_tcp_connect(A, E, 7);
+        net.run_for(SimDuration::from_secs(10));
+        let evs = net.ext_events(A);
+        assert!(
+            evs.contains(&SockEvent::ConnectFailed {
+                sock,
+                reason: ConnectError::TimedOut
+            }),
+            "{evs:?}"
+        );
+        assert_eq!(net.stats.blackholed, 1);
+        assert!(!built(&net, E));
+    }
+
+    #[test]
+    fn first_delivery_builds_a_declared_host() {
+        let (mut net, tel) = lazy_net();
+        assert!(connects(&mut net, D));
+        assert!(built(&net, D) && !built(&net, E));
+        assert_eq!(builds(&tel), 1);
+        // The built host is the declared service, and is built once.
+        assert!(connects(&mut net, D));
+        assert_eq!(builds(&tel), 1);
+    }
+
+    #[test]
+    fn state_changes_and_captures_build_declared_hosts() {
+        let (mut net, tel) = lazy_net();
+        net.set_host_up(E, true);
+        assert!(built(&net, E) && net.host_up(E));
+        assert!(connects(&mut net, E));
+
+        let at = net.now() + SimDuration::from_secs(1);
+        net.schedule_host_state(D, at, false);
+        assert!(!built(&net, D), "scheduling alone builds nothing");
+        net.run_until(at);
+        assert!(built(&net, D) && !net.host_up(D));
+        assert!(!connects(&mut net, D));
+        assert_eq!(builds(&tel), 2);
+
+        let (mut net, _) = lazy_net();
+        net.start_capture(D);
+        assert!(built(&net, D));
+        assert!(connects(&mut net, D));
+        assert_eq!(net.stop_capture(D).len(), 3, "the handshake on D's tap");
+    }
+
+    #[test]
+    fn a_removed_declared_host_stays_gone() {
+        let (mut net, _) = lazy_net();
+        net.remove_host(D);
+        assert!(!net.has_host(D) && !net.host_up(D));
+        assert!(!connects(&mut net, D));
+        assert!(!built(&net, D));
+
+        net.set_host_up(E, true);
+        net.remove_host(E);
+        assert!(!net.has_host(E));
+        assert!(!connects(&mut net, E));
+        net.set_host_up(E, true);
+        assert!(!built(&net, E));
+        assert_eq!(net.stats.blackholed, 2);
+
+        // The address is free again.
+        net.add_service_host(D, Box::new(Upper));
+        assert!(connects(&mut net, D));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate host 10.0.0.5")]
+    fn a_declared_address_is_a_duplicate() {
+        let (mut net, _) = lazy_net();
+        net.add_service_host(E, Box::new(Upper));
+    }
+
+    /// Breaks the contract on `start` in one of three ways.
+    struct Loud(u8);
+    impl Service for Loud {
+        fn start(&mut self, ctx: &mut ServiceCtx<'_>) {
+            match self.0 {
+                0 => ctx.udp_send(1, A, 1, vec![0]),
+                1 => ctx.set_timer(SimDuration::from_secs(1), 0),
+                _ => {
+                    ctx.rng().gen::<u64>();
+                }
+            }
+        }
+        fn on_event(&mut self, _ctx: &mut ServiceCtx<'_>, _ev: SockEvent) {}
+    }
+
+    struct LoudHost(u8);
+    impl HostSource for LoudHost {
+        fn declared(&self, ip: Ipv4Addr) -> Option<bool> {
+            (ip == D).then_some(true)
+        }
+        fn build(&self, _ip: Ipv4Addr) -> Box<dyn Service + Send> {
+            Box::new(Loud(self.0))
+        }
+    }
+
+    /// A declared host whose `start` sends, arms a timer or draws from
+    /// the network RNG would not equal the host built eagerly, so debug
+    /// builds refuse to build it.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_declared_host_must_start_quietly() {
+        for kind in 0..3 {
+            let mut net = net();
+            net.set_host_source(Box::new(LoudHost(kind)));
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                net.start_capture(D);
+            }))
+            .expect_err("a loud start must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("in `start`"), "kind {kind}: {msg}");
+        }
+        // Services installed directly may do all three.
+        let mut net = net();
+        net.add_service_host(D, Box::new(Loud(1)));
     }
 }

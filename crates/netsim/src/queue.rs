@@ -125,7 +125,6 @@ impl EventQueue {
     }
 
     /// Events still pending.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.heap.len() + self.timeouts.len()
     }

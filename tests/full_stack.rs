@@ -130,7 +130,7 @@ fn end_to_end_determinism() {
             cal: Calibration::default(),
         });
         let sample = &world.samples[0];
-        let (net, _) = world.network_for_day(sample.publish_day, 1);
+        let (net, _) = world.network_for_day_detached(sample.publish_day, 1);
         let mut sb = Sandbox::new(net, SandboxConfig::default());
         sb.execute(&sample.elf, SimDuration::from_secs(45)).pcap
     };
