@@ -46,6 +46,7 @@ const EXPECTED_COUNTERS: &[&str] = &[
     "xray.samples_triaged",
     "xray.endpoints_extracted",
     "prober.probes_sent",
+    "prober.dark_syns",
     "sandbox.instructions_retired",
     "sandbox.syscalls_serviced",
     "sandbox.idle_steps_skipped",

@@ -379,3 +379,141 @@ fn restricted_mode_contains_attack_traffic() {
         "no attack packet may leave the sandbox"
     );
 }
+
+// --- prepared images and reused networks -------------------------------------
+
+use malnet_mips::asm::{Assembler, Ins, Reg};
+use malnet_mips::elf::{ElfFile, ElfSegment};
+use malnet_sandbox::{Artifacts, ExitReason, Image};
+
+/// A guest that bumps the immediate of a later `addiu $a0, $zero, 1` in
+/// its own `.text`, runs it and exits with `$a0` (passed through the
+/// stack): 2 from a pristine image, 3 if an earlier run's store had
+/// reached the image.
+fn self_patching_elf() -> Vec<u8> {
+    let base = 0x0040_0000;
+    let mut a = Assembler::new(base);
+    a.ins(Ins::Li(Reg::T0, base)) // words 0-1
+        .ins(Ins::Lw(Reg::T1, Reg::T0, 24)) // word 2: read word 6
+        .ins(Ins::Addiu(Reg::T1, Reg::T1, 1)) // word 3
+        .ins(Ins::Sw(Reg::T1, Reg::T0, 24)) // word 4: patch word 6
+        .ins(Ins::Nop) // word 5
+        .ins(Ins::Addiu(Reg::A0, Reg::ZERO, 1)) // word 6: runs patched
+        .ins(Ins::Sw(Reg::A0, Reg::SP, 0))
+        .ins(Ins::Lw(Reg::A0, Reg::SP, 0))
+        .ins(Ins::Li(Reg::V0, malnet_mips::sys::NR_EXIT))
+        .ins(Ins::Syscall);
+    let text = a.assemble().unwrap();
+    ElfFile {
+        entry: base,
+        segments: vec![ElfSegment {
+            vaddr: base,
+            memsz: text.len() as u32,
+            data: text,
+            writable: true,
+            executable: true,
+            name: ".text",
+        }],
+    }
+    .write()
+}
+
+/// What a caller reads from a run.
+fn observed(art: &Artifacts) -> (ExitReason, &[u8], u64, u64, &[String], usize) {
+    (
+        art.exit.clone(),
+        &art.pcap,
+        art.instructions,
+        art.syscalls,
+        &art.dns_queries,
+        art.exploits.len(),
+    )
+}
+
+/// Two runs from one prepared image equal two `execute` calls on twin
+/// sandboxes, for a bot, a guest that stores into its own `.text` and a
+/// truncated ELF, on either engine. The second run from the image
+/// shows the first left it untouched.
+#[test]
+fn runs_from_one_image_equal_fresh_loads() {
+    let bot = emit_elf(&compile(&mirai_spec()), b"image");
+    let truncated = bot[..bot.len() / 2].to_vec();
+    let patching = self_patching_elf();
+    for block_engine in [true, false] {
+        let cfg = SandboxConfig {
+            mode: AnalysisMode::Contained,
+            handshaker_threshold: Some(3),
+            seed: 11,
+            block_engine,
+            ..Default::default()
+        };
+        let twin = || Sandbox::new(Network::new(SimTime::EPOCH, 99), cfg.clone());
+        for (name, elf, secs) in [("bot", &bot, 120), ("self-patching", &patching, 5)]
+            .into_iter()
+            .chain([("truncated", &truncated, 5)])
+        {
+            let d = SimDuration::from_secs(secs);
+            let image = Image::prepare(elf);
+            let runs = [
+                twin().execute(elf, d),
+                twin().execute(elf, d),
+                twin().execute_image(image.as_ref(), d),
+                twin().execute_image(image.as_ref(), d),
+            ];
+            let ctx = format!("{name}, block engine {block_engine}");
+            for art in &runs[1..] {
+                assert_eq!(observed(art), observed(&runs[0]), "{ctx}");
+            }
+            let art = &runs[3];
+            match name {
+                "bot" => {
+                    assert!(!matches!(art.exit, ExitReason::Fault(_)), "{ctx}");
+                    assert!(!art.exploits.is_empty(), "{ctx}: the bot scanned");
+                    assert!(art.packets().iter().any(|(_, p)| p.dst == C2_IP), "{ctx}");
+                }
+                "self-patching" => assert_eq!(art.exit, ExitReason::Exited(2), "{ctx}"),
+                _ => {
+                    assert!(image.is_none());
+                    assert_eq!(
+                        art.exit,
+                        ExitReason::Fault("unloadable ELF".into()),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Sandboxes run one after another on one network (the prober's
+/// engagement pattern) each log their own bot's DNS queries: a sandbox
+/// takes the fake resolver it installed with it, so the next installs
+/// one that logs for the next.
+#[test]
+fn sandboxes_on_a_reused_network_each_see_their_dns_queries() {
+    let mut spec = mirai_spec();
+    spec.c2 = vec![(C2Endpoint::Domain("cnc.dark.example".into()), 23)];
+    spec.exploits.clear();
+    let elf = emit_elf(&compile(&spec), b"dns");
+    let mut net = Network::new(SimTime::EPOCH, 5);
+    let mut queries = Vec::new();
+    for seed in 0..2 {
+        let mut sb = Sandbox::new(
+            net,
+            SandboxConfig {
+                mode: AnalysisMode::Weaponized {
+                    target: (C2_IP, 23),
+                },
+                handshaker_threshold: None,
+                seed,
+                ..Default::default()
+            },
+        );
+        queries.push(sb.execute(&elf, SimDuration::from_secs(20)).dns_queries);
+        net = sb.into_network();
+    }
+    for q in &queries {
+        assert!(q.iter().any(|n| n == "cnc.dark.example"), "{queries:?}");
+    }
+    assert!(!net.has_host(malnet_sandbox::sandbox::FAKE_RESOLVER));
+}

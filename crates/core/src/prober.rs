@@ -20,7 +20,7 @@ use malnet_netsim::net::Network;
 use malnet_netsim::stack::{SockEvent, SockId};
 use malnet_netsim::time::{SimDuration, SimTime};
 use malnet_prng::sub_seed;
-use malnet_sandbox::{AnalysisMode, Sandbox, SandboxConfig};
+use malnet_sandbox::{AnalysisMode, Image, Sandbox, SandboxConfig};
 use malnet_telemetry::{Field as EventField, SpanCtx, Telemetry};
 use malnet_wire::packet::Transport;
 
@@ -140,7 +140,8 @@ pub fn merge_round_results(mut rounds: Vec<RoundResult>) -> Vec<ProbedC2> {
 /// the fan-out closure stays readable.
 struct RoundCtx<'a> {
     world: &'a World,
-    weapons: &'a [Vec<u8>],
+    /// The weapons, each prepared once for every round's engagements.
+    weapons: &'a [Option<Image>],
     cfg: &'a ProbeConfig,
     seed: u64,
     tel: &'a Telemetry,
@@ -150,7 +151,9 @@ struct RoundCtx<'a> {
 
 /// Run the probing study. `weapons` are the malware binaries used for
 /// engagement probes (paper: one Mirai and one Gafgyt sample), tried in
-/// rotation. Probe counts land in `tel` (`prober.probes_sent`,
+/// rotation. Each is prepared once ([`Image::prepare`]), and every
+/// engagement of every round starts its process from that image. Probe
+/// counts land in `tel` (`prober.probes_sent`, `prober.dark_syns`,
 /// `prober.listeners_found`, `prober.engagements`); pass
 /// [`Telemetry::disabled`] to opt out.
 ///
@@ -168,9 +171,10 @@ pub fn run_probing(
     tel: &Telemetry,
 ) -> Vec<ProbedC2> {
     assert!(!weapons.is_empty(), "need at least one weaponized sample");
+    let images: Vec<Option<Image>> = weapons.iter().map(|elf| Image::prepare(elf)).collect();
     let ctx = RoundCtx {
         world,
-        weapons,
+        weapons: &images,
         cfg,
         seed,
         tel,
@@ -266,6 +270,7 @@ fn probe_round(
     let sweep = syn_sweep(&mut net, PROBER_IP, &targets, cfg.syn_retries);
     add_nonzero(tel, "prober.probes_sent", sweep.probes);
     add_nonzero(tel, "prober.syn_retries", sweep.retries);
+    add_nonzero(tel, "prober.dark_syns", sweep.dark);
 
     // --- step 2: banner filter ---
     let mut listeners: Vec<(Ipv4Addr, u16)> = Vec::new();
@@ -286,7 +291,7 @@ fn probe_round(
     for (i, &(ip, port)) in listeners.iter().enumerate() {
         // Rotate weapons across listeners *and* rounds so every
         // candidate is probed by both samples over time.
-        let elf = &weapons[(i + round as usize) % weapons.len()];
+        let weapon = &weapons[(i + round as usize) % weapons.len()];
         let mut sb = Sandbox::new(
             net,
             SandboxConfig {
@@ -299,7 +304,7 @@ fn probe_round(
                 ..SandboxConfig::default()
             },
         );
-        let art = sb.execute(elf, SimDuration::from_secs(cfg.engage_secs));
+        let art = sb.execute_image(weapon.as_ref(), SimDuration::from_secs(cfg.engage_secs));
         net = sb.into_network();
         // Engagement: any application payload back from the target.
         let engaged = art.packets().iter().any(|(_, p)| {
@@ -331,6 +336,9 @@ pub(crate) struct Sweep {
     pub(crate) probes: u64,
     /// SYNs sent after the first attempt.
     pub(crate) retries: u64,
+    /// SYNs that were dark and settled at send
+    /// ([`Network::ext_tcp_probe`]).
+    pub(crate) dark: u64,
 }
 
 /// The SYN sweep behind both D-PC2 listener discovery and the daily C2
@@ -339,8 +347,14 @@ pub(crate) struct Sweep {
 /// Attempt `a` (0 ≤ a ≤ `syn_retries`) sends a SYN to every target that
 /// has not answered yet, in target order, and runs the network for
 /// `8·(a + 1)` s (linear backoff). It then collects `Connected` events
-/// and banners, aborts every socket it opened in target order, runs 1 s
+/// and banners, aborts the sockets it opened in target order, runs 1 s
 /// and drains the inbox. Targets must be distinct.
+///
+/// Each SYN goes through [`Network::ext_tcp_probe`]: one nothing can
+/// answer is counted and settled at send and opens no socket. The sweep
+/// reads only `Connected` and `TcpData`, and aborting a socket whose
+/// connect has timed out does nothing, so the outcome is the same as
+/// opening every connection.
 pub(crate) fn syn_sweep(
     net: &mut Network,
     from: Ipv4Addr,
@@ -352,26 +366,33 @@ pub(crate) fn syn_sweep(
         banners: vec![Vec::new(); targets.len()],
         probes: 0,
         retries: 0,
+        dark: 0,
     };
     let mut answered = vec![false; targets.len()];
     let mut pending: Vec<usize> = (0..targets.len()).collect();
+    let mut opened: Vec<SockId> = Vec::new();
     for attempt in 0..=syn_retries {
         if pending.is_empty() {
             break;
         }
-        // One attempt's sockets get consecutive ids, so socket
-        // `first + i` probes `pending[i]`.
+        // One attempt's sockets get consecutive ids, opened or not, so
+        // socket `first + i` probes `pending[i]`.
         let mut first = 0;
+        opened.clear();
         for (i, &t) in pending.iter().enumerate() {
             let (ip, port) = targets[t];
-            let sock = net.ext_tcp_connect(from, ip, port).0;
+            let (sock, open) = net.ext_tcp_probe(from, ip, port);
             if i == 0 {
-                first = sock;
+                first = sock.0;
             }
-            debug_assert_eq!(sock, first + i as u64, "sweep sockets are consecutive");
+            debug_assert_eq!(sock.0, first + i as u64, "sweep sockets are consecutive");
+            if open {
+                opened.push(sock);
+            }
         }
         let sent = pending.len() as u64;
         sweep.probes += sent;
+        sweep.dark += sent - opened.len() as u64;
         if attempt > 0 {
             sweep.retries += sent;
         }
@@ -396,8 +417,8 @@ pub(crate) fn syn_sweep(
                 _ => {}
             }
         }
-        for sock in first..first + sent {
-            net.ext_tcp_abort(from, SockId(sock));
+        for &sock in &opened {
+            net.ext_tcp_abort(from, sock);
         }
         net.run_for(SimDuration::from_secs(1));
         net.ext_events(from);

@@ -821,18 +821,23 @@ fn epoch_sharded_stream_is_foldable_and_shard_invariant() {
     }
 }
 
-/// Two work counters are functions of the simulation alone:
+/// Three work counters are functions of the simulation alone:
 /// `sandbox.idle_steps_skipped` counts the polling steps blocking
-/// `connect`/`recv` calls skipped because nothing was due in them, and
-/// `netsim.hosts_built` counts the world hosts built on first touch.
-/// Each is non-zero and identical at every parallelism × day-shard
+/// `connect`/`recv` calls skipped because nothing was due in them,
+/// `netsim.hosts_built` counts the world hosts built on first touch, and
+/// `prober.dark_syns` counts the sweep SYNs settled at send. Each is
+/// non-zero and identical at every parallelism × day-shard
 /// cell, with and without an event sink, while the datasets stay those
 /// of the uninstrumented baseline.
 #[test]
 fn idle_step_counter_is_schedule_invariant() {
     use malnet_telemetry::EventSink;
 
-    const COUNTERS: [&str; 2] = ["sandbox.idle_steps_skipped", "netsim.hosts_built"];
+    const COUNTERS: [&str; 3] = [
+        "sandbox.idle_steps_skipped",
+        "netsim.hosts_built",
+        "prober.dark_syns",
+    ];
     let seed = 6161;
     let world = test_world(seed);
     let run = |shards: usize, par: usize, tel: Telemetry| {

@@ -102,6 +102,7 @@ fn run_report_covers_every_stage() {
         "pipeline.samples_activated",
         "pipeline.c2_candidates",
         "prober.probes_sent",
+        "prober.dark_syns",
         "sandbox.instructions_retired",
         "sandbox.syscalls_serviced",
         "sandbox.idle_steps_skipped",

@@ -22,7 +22,7 @@
 //! taps record traffic per host IP, producing the pcap evidence the
 //! analysis pipeline consumes.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{btree_map, BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use malnet_prng::rngs::StdRng;
@@ -225,6 +225,8 @@ pub struct Network {
     source: Option<Box<dyn HostSource + Send>>,
     /// Declared addresses whose host was removed: they stay empty.
     removed: Vec<Ipv4Addr>,
+    /// Queued [`Network::schedule_host_state`] changes per address.
+    pending_state: BTreeMap<Ipv4Addr, u32>,
     /// Hosts with a running capture: while zero, recording a packet
     /// costs no host lookup.
     capturing: usize,
@@ -288,6 +290,7 @@ impl Network {
             hosts: HashMap::new(), // lookup-only, see field. lint: hash-ok
             source: None,
             removed: Vec::new(),
+            pending_state: BTreeMap::new(),
             capturing: 0,
             faults: LinkFaults::default(),
             dns_faults: crate::dns::DnsFaults::default(),
@@ -458,6 +461,7 @@ impl Network {
     /// (chaos layer: C2 downtime windows). Times in the past fire on the
     /// next event-loop step.
     pub fn schedule_host_state(&mut self, ip: Ipv4Addr, at: SimTime, up: bool) {
+        *self.pending_state.entry(ip).or_default() += 1;
         self.queue
             .push(at, EventKind::HostState { host: ip, up }, None);
     }
@@ -526,6 +530,16 @@ impl Network {
 
     /// Submit a packet for transmission at the current time.
     pub fn send_packet(&mut self, pkt: Packet) {
+        if let Some(pkt) = self.transmit(pkt) {
+            let at = self.now + self.latency(pkt.src, pkt.dst);
+            self.queue.push(at, EventKind::Deliver, Some(pkt));
+        }
+    }
+
+    /// The send step of every packet: count it, apply the egress filter,
+    /// record it on the sender's tap, then draw loss and corruption.
+    /// Returns the packet if it is still in flight.
+    fn transmit(&mut self, pkt: Packet) -> Option<Packet> {
         self.stats.sent += 1;
         if let Some(filter) = self.filter.as_mut() {
             if !filter(self.now, &pkt) {
@@ -534,7 +548,7 @@ impl Network {
                 let now = self.now;
                 let src = pkt.src;
                 self.record(src, now, &pkt);
-                return;
+                return None;
             }
         }
         let now = self.now;
@@ -543,7 +557,7 @@ impl Network {
         if self.faults.loss > 0.0 && self.rng.gen_bool(self.faults.loss) {
             self.stats.lost += 1;
             self.tel.dropped.incr();
-            return;
+            return None;
         }
         let mut pkt = pkt;
         if self.faults.corrupt > 0.0 && self.rng.gen_bool(self.faults.corrupt) {
@@ -563,9 +577,7 @@ impl Network {
                 }
             }
         }
-        let delay = self.latency(pkt.src, pkt.dst);
-        let at = self.now + delay;
-        self.queue.push(at, EventKind::Deliver, Some(pkt));
+        Some(pkt)
     }
 
     fn flush(&mut self, ip: Ipv4Addr, out: Vec<Packet>, timers: Vec<(SimDuration, u64)>) {
@@ -610,6 +622,36 @@ impl Network {
         dport: u16,
     ) -> SockId {
         self.ext_open(ip, |s| s.tcp_connect_from(sport, dst, dport))
+    }
+
+    /// Send a sweep SYN from an external host: exactly
+    /// [`Network::ext_tcp_connect`], unless the SYN is dark. Returns the
+    /// socket and whether a connection was opened.
+    ///
+    /// A SYN is dark when no host at `dst` is up (built and up, or
+    /// declared up) and no [`Network::schedule_host_state`] change for
+    /// `dst` is queued: nothing can then answer it before it lands. A
+    /// dark SYN consumes the socket id, the ephemeral port and the ISS
+    /// on `ip`'s stack and takes the send step of every packet (counted,
+    /// filtered, captured at the sender, loss and corruption drawn). If
+    /// it survives that step it is counted blackholed at once. It opens
+    /// no connection and queues nothing, so no `ConnectFailed` follows.
+    ///
+    /// Exact as long as the caller adds no host at `dst`, brings none up
+    /// and reads no statistics before the SYN would have landed, and
+    /// ignores connect failures (the SYN sweep does all of this).
+    pub fn ext_tcp_probe(&mut self, ip: Ipv4Addr, dst: Ipv4Addr, dport: u16) -> (SockId, bool) {
+        if self.host_up(dst) || self.pending_state.contains_key(&dst) {
+            return (self.ext_tcp_connect(ip, dst, dport), true);
+        }
+        let host = self.hosts.get_mut(&ip).expect("external host exists");
+        debug_assert!(matches!(host.driver, Driver::External(_)));
+        let (sock, syn) = host.stack.tcp_syn(dst, dport);
+        if self.transmit(syn).is_some() {
+            self.stats.blackholed += 1;
+            self.tel.dropped.incr();
+        }
+        (sock, false)
     }
 
     /// Run an active open on an external host's stack, send its SYN and
@@ -880,6 +922,12 @@ impl Network {
                 }
             }
             EventKind::HostState { host, up } => {
+                if let btree_map::Entry::Occupied(mut n) = self.pending_state.entry(host) {
+                    *n.get_mut() -= 1;
+                    if *n.get() == 0 {
+                        n.remove();
+                    }
+                }
                 self.set_host_up(host, up);
             }
         }
@@ -1419,6 +1467,190 @@ mod tests {
     fn a_declared_address_is_a_duplicate() {
         let (mut net, _) = lazy_net();
         net.add_service_host(E, Box::new(Upper));
+    }
+
+    /// Declares 10.0.1.1–10.0.1.12, odd hosts up and even hosts down,
+    /// each an `Upper`.
+    struct Roster;
+    impl HostSource for Roster {
+        fn declared(&self, ip: Ipv4Addr) -> Option<bool> {
+            let [a, b, c, d] = ip.octets();
+            ((a, b, c) == (10, 0, 1) && (1..=12).contains(&d)).then_some(d % 2 == 1)
+        }
+        fn build(&self, _ip: Ipv4Addr) -> Box<dyn Service + Send> {
+            Box::new(Upper)
+        }
+    }
+
+    /// The addresses the probe oracle sends to: [`Roster`]'s twelve, four
+    /// built hosts and two empty addresses.
+    fn probe_pool() -> Vec<Ipv4Addr> {
+        (1..=12)
+            .map(|d| Ipv4Addr::new(10, 0, 1, d))
+            .chain((1..=4).map(|d| Ipv4Addr::new(10, 0, 2, d)))
+            .chain([Ipv4Addr::new(10, 0, 3, 1), Ipv4Addr::new(10, 0, 3, 2)])
+            .collect()
+    }
+
+    /// A network over [`Roster`] with A external: random loss,
+    /// corruption and jitter; built hosts, some taken down; declared
+    /// hosts removed, flipped, built by a capture or left alone; host
+    /// state changes due in the first 300 ms; A's capture on or off; and
+    /// sometimes an egress filter that contains one address.
+    fn probe_net(rng: &mut StdRng) -> Network {
+        let t0 = SimTime::from_day(2, 0);
+        let mut net = Network::new(t0, rng.gen_range(0..1_000));
+        net.faults.latency = SimDuration::from_millis(rng.gen_range(1..60));
+        net.faults.jitter = SimDuration::from_millis(rng.gen_range(0..40));
+        net.faults.jitter_seed = rng.gen_range(0..4);
+        if rng.gen_bool(0.5) {
+            net.faults.loss = 0.3;
+        }
+        if rng.gen_bool(0.5) {
+            net.faults.corrupt = 0.3;
+        }
+        net.set_host_source(Box::new(Roster));
+        net.add_external_host(A);
+        let pool = probe_pool();
+        for &ip in &pool[12..16] {
+            net.add_service_host(ip, Box::new(Upper));
+            if rng.gen_bool(0.5) {
+                net.set_host_up(ip, false);
+            }
+        }
+        for &ip in &pool[..12] {
+            match rng.gen_range(0..6) {
+                0 => net.remove_host(ip),
+                1 => net.set_host_up(ip, rng.gen_bool(0.5)),
+                2 => net.start_capture(ip),
+                _ => {}
+            }
+        }
+        for _ in 0..rng.gen_range(0..8) {
+            let ip = pool[rng.gen_range(0..pool.len())];
+            let at = t0 + SimDuration::from_micros(rng.gen_range(0..300_000));
+            net.schedule_host_state(ip, at, rng.gen_bool(0.5));
+        }
+        if rng.gen_bool(0.5) {
+            net.start_capture(A);
+        }
+        if rng.gen_bool(0.3) {
+            let contained = pool[rng.gen_range(0..pool.len())];
+            net.set_egress_filter(Box::new(move |_, pkt| pkt.dst != contained));
+        }
+        net
+    }
+
+    /// `ext_tcp_probe` against `ext_tcp_connect` on twin networks: the
+    /// same socket ids, statistics, captures, socket states, pending
+    /// events and RNG stream, and the same inbox once the timeouts of
+    /// the sockets the probe never opened are left out. A follow-up
+    /// connect sends the same SYN, so the port and the ISS advanced
+    /// alike. SYNs go out between host state changes and while they
+    /// fire, and hosts go down or away mid-sweep.
+    #[test]
+    fn ext_tcp_probe_matches_ext_tcp_connect() {
+        let mut rng = proptest::test_rng("ext_tcp_probe_matches_ext_tcp_connect");
+        let pool = probe_pool();
+        let (mut dark, mut woke) = (0, 0);
+        for case in 0..400 {
+            let seed: u64 = rng.gen_range(0..u64::MAX);
+            let mut oracle = probe_net(&mut StdRng::seed_from_u64(seed));
+            let mut net = probe_net(&mut StdRng::seed_from_u64(seed));
+            let mut opened = Vec::new();
+            let mut unopened = Vec::new();
+            let mut down_at_send = Vec::new();
+            for _ in 0..rng.gen_range(1..40) {
+                let ip = pool[rng.gen_range(0..pool.len())];
+                match rng.gen_range(0..10) {
+                    0 => {
+                        let d = SimDuration::from_micros(rng.gen_range(0..60_000));
+                        oracle.run_for(d);
+                        net.run_for(d);
+                    }
+                    1 => {
+                        oracle.set_host_up(ip, false);
+                        net.set_host_up(ip, false);
+                    }
+                    2 => {
+                        oracle.remove_host(ip);
+                        net.remove_host(ip);
+                    }
+                    _ => {
+                        let dport = if rng.gen_bool(0.8) { 7 } else { 9 };
+                        let down = !oracle.host_up(ip);
+                        let want = oracle.ext_tcp_connect(A, ip, dport);
+                        if down {
+                            down_at_send.push(want);
+                        }
+                        let (sock, open) = net.ext_tcp_probe(A, ip, dport);
+                        assert_eq!(sock, want, "case {case}: socket id");
+                        if open {
+                            opened.push(sock);
+                        } else {
+                            unopened.push(sock);
+                        }
+                    }
+                }
+            }
+            // Past every delivery and every connect timeout.
+            oracle.run_for(SimDuration::from_secs(10));
+            net.run_for(SimDuration::from_secs(10));
+            dark += unopened.len();
+
+            assert_eq!(net.stats, oracle.stats, "case {case}: stats");
+            assert_eq!(net.queue.len(), oracle.queue.len(), "case {case}: queue");
+            let want: Vec<SockEvent> = oracle
+                .ext_events(A)
+                .into_iter()
+                .filter(|ev| {
+                    !matches!(ev, SockEvent::ConnectFailed { sock, reason: ConnectError::TimedOut }
+                        if unopened.contains(sock))
+                })
+                .collect();
+            woke += want
+                .iter()
+                .filter(|ev| matches!(ev, SockEvent::Connected(s) if down_at_send.contains(s)))
+                .count();
+            assert_eq!(net.ext_events(A), want, "case {case}: inbox");
+            let (stack, oracle_stack) = (net.ext_stack(A).unwrap(), oracle.ext_stack(A).unwrap());
+            assert_eq!(stack.conn_count(), oracle_stack.conn_count(), "case {case}");
+            for &sock in &opened {
+                assert_eq!(
+                    stack.state(sock),
+                    oracle_stack.state(sock),
+                    "case {case}: {sock:?}"
+                );
+            }
+            for &ip in pool.iter().chain([&A]) {
+                assert_eq!(
+                    net.stop_capture(ip),
+                    oracle.stop_capture(ip),
+                    "case {case}: capture at {ip}"
+                );
+            }
+            assert_eq!(
+                net.rng().gen::<u64>(),
+                oracle.rng().gen::<u64>(),
+                "case {case}"
+            );
+
+            // The next SYN: the same socket, port and ISS.
+            net.clear_egress_filter();
+            oracle.clear_egress_filter();
+            net.start_capture(A);
+            oracle.start_capture(A);
+            assert_eq!(
+                net.ext_tcp_connect(A, B, 7),
+                oracle.ext_tcp_connect(A, B, 7),
+                "case {case}"
+            );
+            let syn = net.stop_capture(A);
+            assert_eq!(syn.len(), 1);
+            assert_eq!(syn, oracle.stop_capture(A), "case {case}: follow-up SYN");
+        }
+        assert!(dark > 1_000, "the dark path ran {dark} times");
+        assert!(woke > 0, "no SYN reached a host that came up in flight");
     }
 
     /// Breaks the contract on `start` in one of three ways.

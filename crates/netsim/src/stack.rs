@@ -205,13 +205,27 @@ impl HostStack {
     /// Active-open from a chosen source port (DDoS code paths pick their
     /// own source ports).
     pub fn tcp_connect_from(&mut self, sport: u16, dst: Ipv4Addr, dport: u16) -> (SockId, Packet) {
-        let iss = self.next_iss();
-        let (conn, syn) = TcpConn::connect((self.ip, sport), (dst, dport), iss);
-        let sock = self.new_sock();
+        let (sock, conn, syn) = self.open(sport, dst, dport);
         let key = (sport, dst, dport);
         self.conns.insert(key, (sock, conn));
         self.by_sock.insert(sock, key);
         (sock, syn)
+    }
+
+    /// The SYN of an active open from an ephemeral port, keeping no
+    /// connection: it consumes the socket id, the port and the ISS that
+    /// [`HostStack::tcp_connect`] would, for a SYN nothing can answer.
+    pub(crate) fn tcp_syn(&mut self, dst: Ipv4Addr, dport: u16) -> (SockId, Packet) {
+        let sport = self.ephemeral_port();
+        let (sock, _, syn) = self.open(sport, dst, dport);
+        (sock, syn)
+    }
+
+    /// Draw the ISS and the socket id of an active open.
+    fn open(&mut self, sport: u16, dst: Ipv4Addr, dport: u16) -> (SockId, TcpConn, Packet) {
+        let iss = self.next_iss();
+        let (conn, syn) = TcpConn::connect((self.ip, sport), (dst, dport), iss);
+        (self.new_sock(), conn, syn)
     }
 
     /// Send bytes on an established connection.

@@ -7,7 +7,8 @@
 //! crate reproduces both on top of `malnet-mips` (the CPU) and
 //! `malnet-netsim` (the Internet):
 //!
-//! * [`process`] — loads a MIPS ELF and services its Linux o32 syscalls
+//! * [`process`] — prepares a MIPS ELF once as an [`Image`], starts
+//!   processes from it and services their Linux o32 syscalls
 //!   against the simulated network: sockets, blocking connect/recv with
 //!   timeouts, raw-socket sends for flood code, nanosleep driving the
 //!   virtual clock.
@@ -36,5 +37,5 @@ pub mod sandbox;
 pub mod services;
 
 pub use faults::{EmuFaultTally, EmuFaults};
-pub use process::{BotProcess, ExitReason};
+pub use process::{BotProcess, ExitReason, Image};
 pub use sandbox::{AnalysisMode, Artifacts, CapturedExploit, Sandbox, SandboxConfig};

@@ -22,6 +22,7 @@ use malnet_prng::{Rng, SeedableRng};
 use malnet_mips::block::ExecCache;
 use malnet_mips::cpu::{Cpu, StepOutcome};
 use malnet_mips::elf::ElfFile;
+use malnet_mips::mem::Memory;
 use malnet_mips::sys;
 use malnet_netsim::stack::{SockEvent, SockId};
 use malnet_netsim::time::{SimDuration, SimTime};
@@ -122,6 +123,38 @@ impl Default for ProcessConfig {
     }
 }
 
+/// A prepared executable: the parsed ELF's segments loaded into memory
+/// and the predecoded text of its entry segment. Processes start from
+/// it ([`BotProcess::start`]) without parsing or decoding again; each
+/// gets its own copy of the memory and of the predecoded text, so the
+/// image is read-only and may be shared across threads.
+#[derive(Debug)]
+pub struct Image {
+    entry: u32,
+    /// The loaded segments, without a stack. Its code-watch range is
+    /// the cached segment, which only a block-engine process reads.
+    mem: Memory,
+    /// Predecoded entry segment; `None` when the entry is outside any
+    /// word-aligned segment (such programs run on the stepping oracle).
+    cache: Option<ExecCache>,
+}
+
+impl Image {
+    /// Parse and load an ELF and predecode its entry segment. Returns
+    /// `None` when the file is not a loadable MIPS executable (failed
+    /// activation).
+    pub fn prepare(elf_bytes: &[u8]) -> Option<Self> {
+        let elf = ElfFile::parse(elf_bytes).ok()?;
+        let mut mem = elf.load();
+        let cache = ExecCache::for_entry(&mut mem, elf.entry);
+        Some(Image {
+            entry: elf.entry,
+            mem,
+            cache,
+        })
+    }
+}
+
 /// A loaded malware process.
 pub struct BotProcess {
     cpu: Cpu,
@@ -150,24 +183,24 @@ pub struct BotProcess {
 }
 
 impl BotProcess {
-    /// Load an ELF image. Returns `None` when the file is not a loadable
-    /// MIPS executable (failed activation).
-    pub fn load(elf_bytes: &[u8], cfg: ProcessConfig) -> Option<Self> {
-        let elf = ElfFile::parse(elf_bytes).ok()?;
-        let mut mem = elf.load();
+    /// Start a process from a prepared image: a copy of its memory with
+    /// a fresh stack mapped, and a copy of its predecoded text when the
+    /// config enables the block engine.
+    pub fn start(image: &Image, cfg: ProcessConfig) -> Self {
+        let mut mem = image.mem.clone();
         mem.map_zeroed(
             malnet_mips::cpu::STACK_TOP - malnet_mips::cpu::STACK_SIZE,
             malnet_mips::cpu::STACK_SIZE + 0x1000,
             true,
         );
         let cache = if cfg.block_engine {
-            ExecCache::for_entry(&mut mem, elf.entry)
+            image.cache.clone()
         } else {
             None
         };
-        let cpu = Cpu::new(mem, elf.entry);
+        let cpu = Cpu::new(mem, image.entry);
         let seed = cfg.seed;
-        Some(BotProcess {
+        BotProcess {
             cpu,
             cfg,
             cache,
@@ -178,7 +211,7 @@ impl BotProcess {
             syscall_count: 0,
             fault_tally: EmuFaultTally::default(),
             idle_steps_skipped: 0,
-        })
+        }
     }
 
     /// Guest instructions retired so far.

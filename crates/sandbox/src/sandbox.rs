@@ -12,7 +12,7 @@ use malnet_wire::packet::Packet;
 use malnet_wire::pcap;
 
 use crate::faults::{EmuFaultTally, EmuFaults};
-use crate::process::{BotProcess, ExitReason, ProcessConfig, DEFAULT_FD_CAP};
+use crate::process::{BotProcess, ExitReason, Image, ProcessConfig, DEFAULT_FD_CAP};
 use crate::services::{FakeVictim, InetSimHttp, VictimCapture, VictimLog, WildcardDns};
 
 /// The sinkhole address the wildcard DNS hands out in contained mode.
@@ -151,6 +151,9 @@ pub struct Sandbox {
     engaged_ports: BTreeSet<u16>,
     /// Destinations the sandbox spawned fake hosts for.
     spawned: BTreeSet<Ipv4Addr>,
+    /// Did this sandbox install the fake resolver (it logs into
+    /// `dns_names`)?
+    owns_resolver: bool,
     /// Telemetry handle (inert by default); see [`Sandbox::with_telemetry`].
     tel: Telemetry,
     /// Pre-resolved counters for the execute path.
@@ -191,11 +194,14 @@ impl SandboxTelemetry {
 }
 
 // Compile-time guarantee: a whole sandbox (network included) can run on
-// a worker thread; `Artifacts` is the plain data it ships back.
+// a worker thread; `Artifacts` is the plain data it ships back, and one
+// `Image` serves the processes of every worker.
 const _: () = {
     const fn assert_send<T: Send>() {}
+    const fn assert_sync<T: Sync>() {}
     assert_send::<Sandbox>();
     assert_send::<Artifacts>();
+    assert_sync::<Image>();
 };
 
 impl Sandbox {
@@ -204,7 +210,8 @@ impl Sandbox {
     /// tap.
     pub fn new(mut net: Network, cfg: SandboxConfig) -> Self {
         let dns_names = Arc::new(Mutex::new(Vec::new()));
-        if !net.has_host(FAKE_RESOLVER) {
+        let owns_resolver = !net.has_host(FAKE_RESOLVER);
+        if owns_resolver {
             net.add_service_host(
                 FAKE_RESOLVER,
                 Box::new(WildcardDns::new(DNS_SINKHOLE, dns_names.clone())),
@@ -222,6 +229,7 @@ impl Sandbox {
             port_contacts: BTreeMap::new(),
             engaged_ports: BTreeSet::new(),
             spawned: BTreeSet::new(),
+            owns_resolver,
             tel: Telemetry::disabled(),
             tel_handles: SandboxTelemetry::default(),
         };
@@ -335,6 +343,20 @@ impl Sandbox {
     /// runs on one network advance through the study day.
     pub fn execute(&mut self, elf_bytes: &[u8], duration: SimDuration) -> Artifacts {
         let _span = self.tel.span("sandbox.exec");
+        let image = Image::prepare(elf_bytes);
+        self.run(image.as_ref(), duration)
+    }
+
+    /// [`Sandbox::execute`] from an image prepared once
+    /// ([`Image::prepare`]), for callers that run one executable many
+    /// times. `None`, an ELF that did not load, ends in the `unloadable
+    /// ELF` fault.
+    pub fn execute_image(&mut self, image: Option<&Image>, duration: SimDuration) -> Artifacts {
+        let _span = self.tel.span("sandbox.exec");
+        self.run(image, duration)
+    }
+
+    fn run(&mut self, image: Option<&Image>, duration: SimDuration) -> Artifacts {
         let deadline = self.net.now() + duration;
         let pcfg = ProcessConfig {
             bot_ip: self.cfg.bot_ip,
@@ -344,26 +366,26 @@ impl Sandbox {
             fd_cap: self.cfg.fd_cap,
             faults: self.cfg.emu_faults,
         };
-        let (exit, instructions, syscalls, idle_steps_skipped, emu_faults) =
-            match BotProcess::load(elf_bytes, pcfg) {
-                Some(mut proc) => {
-                    let exit = proc.run(self, deadline);
-                    (
-                        exit,
-                        proc.instructions(),
-                        proc.syscall_count,
-                        proc.idle_steps_skipped,
-                        proc.fault_tally,
-                    )
-                }
-                None => (
-                    ExitReason::Fault("unloadable ELF".to_string()),
-                    0,
-                    0,
-                    0,
-                    EmuFaultTally::default(),
-                ),
-            };
+        let (exit, instructions, syscalls, idle_steps_skipped, emu_faults) = match image {
+            Some(image) => {
+                let mut proc = BotProcess::start(image, pcfg);
+                let exit = proc.run(self, deadline);
+                (
+                    exit,
+                    proc.instructions(),
+                    proc.syscall_count,
+                    proc.idle_steps_skipped,
+                    proc.fault_tally,
+                )
+            }
+            None => (
+                ExitReason::Fault("unloadable ELF".to_string()),
+                0,
+                0,
+                0,
+                EmuFaultTally::default(),
+            ),
+        };
         // Instructions/sec is *derived*, never recorded: wall-clock
         // values must not feed counters or histograms (they would break
         // schedule-invariance; see DESIGN.md §8). Reports divide the
@@ -416,11 +438,19 @@ impl Sandbox {
     }
 
     /// Dissolve the sandbox and return the network (with world hosts
-    /// intact) to the caller.
+    /// intact) to the caller. The hosts the sandbox installed go with
+    /// it: the bot, the fake resolver and every spawned fake, so a later
+    /// sandbox on the network installs its own.
     pub fn into_network(mut self) -> Network {
         self.net.clear_egress_filter();
         let _ = self.net.stop_capture(self.cfg.bot_ip);
         self.net.remove_host(self.cfg.bot_ip);
+        if self.owns_resolver {
+            self.net.remove_host(FAKE_RESOLVER);
+        }
+        for &ip in &self.spawned {
+            self.net.remove_host(ip);
+        }
         self.net
     }
 }
