@@ -32,6 +32,7 @@ use malnet_core::chaos::FaultPlan;
 use malnet_core::datasets::HealthKind;
 use malnet_core::eval::{c2_lifetime_error, evaluate};
 use malnet_core::{Datasets, Pipeline, PipelineOpts};
+use malnet_prng::fnv1a;
 use malnet_telemetry::{json, EventSink, Field};
 
 /// Default first fault seed of the sweep (`--fault-seed` overrides);
@@ -54,20 +55,10 @@ struct Cell {
     profiled: usize,
     degradation_rows: usize,
     emu_fault_rows: usize,
+    /// FNV-1a of the canonical dataset dump: two equal hashes in the
+    /// artifact are two byte-identical runs.
     dump_hash: u64,
     matches_baseline: bool,
-}
-
-/// FNV-1a over the canonical dataset dump: cheap byte-identity evidence
-/// the artifact can carry (two equal hashes in the artifact == two
-/// byte-identical runs, reproducible from the recorded seeds).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn run_cell(world: &World, seed: u64, samples: usize, plan: FaultPlan) -> Datasets {
@@ -109,7 +100,7 @@ fn main() {
     // --- the chaos-free baseline every zero cell must reproduce ---
     let baseline = run_cell(&world, opts.seed, opts.samples, FaultPlan::none());
     let baseline_dump = baseline.canonical_dump();
-    let baseline_hash = fnv64(baseline_dump.as_bytes());
+    let baseline_hash = fnv1a(baseline_dump.as_bytes());
     let baseline_eval = evaluate(&world, &baseline);
     let baseline_lifetime = c2_lifetime_error(&world, &baseline);
     println!(
@@ -142,7 +133,7 @@ fn main() {
             let plan = FaultPlan::emu_sweep(fs, intensity);
             let data = run_cell(&world, opts.seed, opts.samples, plan);
             let dump = data.canonical_dump();
-            let hash = fnv64(dump.as_bytes());
+            let hash = fnv1a(dump.as_bytes());
             let ev = evaluate(&world, &data);
             let cell = Cell {
                 fault_seed: fs,

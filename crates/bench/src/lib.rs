@@ -1,16 +1,20 @@
 //! # malnet-bench — table/figure regeneration and benchmarks
 //!
-//! One binary per paper artefact (`table1` … `fig13`, `stats`,
-//! `repro-all`) regenerates the corresponding rows/series from a full
-//! pipeline run and prints them next to the paper's reported values.
-//! Component benches (`benches/components.rs`, on the in-repo
-//! [`timing`] harness) measure the performance of every pipeline
-//! component; `par-sweep` measures the contained-activation stage at
-//! several parallelism levels; ablation binaries sweep the design knobs
-//! DESIGN.md calls out.
+//! The `repro` binary regenerates the paper's tables and figures from
+//! one full pipeline run and prints them next to the paper's reported
+//! values: all of them in paper order, or one with `--only <name>`
+//! (the names and renderers are [`render::ARTEFACTS`]). Component
+//! benches (`benches/components.rs`, on the in-repo [`timing`]
+//! harness) measure the performance of every pipeline component; the
+//! `ablations` binary sweeps the design knobs DESIGN.md calls out; the
+//! `run_report`, `chaos_run`, `chaos_sweep`, `static_xval` and
+//! `lint_report` binaries write and self-validate the `results/`
+//! artifacts, and `study_watch` follows or validates an event stream.
 //!
-//! All binaries accept `--samples N` (default 1447) and `--seed S`
-//! (default 22); smaller corpora run in seconds and preserve the shapes.
+//! The study binaries take the common flags of [`parse_args`]. `repro`
+//! defaults to the paper's 1447 samples at seed 22, the others to a
+//! CI-sized corpus; smaller corpora run in seconds and preserve the
+//! shapes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

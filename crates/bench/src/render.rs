@@ -413,31 +413,142 @@ pub fn evaluation(world: &World, data: &Datasets) -> String {
     )
 }
 
+/// What a renderer reads: one study's world, datasets and vendor
+/// feeds, and the day of the late threat-intel query (Table 7).
+pub struct Study<'a> {
+    /// The generated world.
+    pub world: &'a World,
+    /// The study's datasets.
+    pub data: &'a Datasets,
+    /// Vendor-feed state after the study.
+    pub vendors: &'a VendorDb,
+    /// Day of the late threat-intel query.
+    pub late_day: u32,
+}
+
+/// One renderer and the artefact names that select it.
+pub struct Artefact {
+    /// Names for `repro --only`; one renderer prints all of Figures 2–3
+    /// and all of Figures 5–7, so it answers to each of their names.
+    pub names: &'static [&'static str],
+    /// The renderer.
+    pub render: fn(&Study) -> String,
+}
+
+/// Every artefact, in paper order. [`all`] prints each once; `repro
+/// --only <name>` prints the one [`find`] returns.
+pub const ARTEFACTS: &[Artefact] = &[
+    Artefact {
+        names: &["table1"],
+        render: |s| table1(s.data),
+    },
+    Artefact {
+        names: &["table2"],
+        render: |s| table2(s.world, s.data),
+    },
+    Artefact {
+        names: &["table3"],
+        render: |s| table3(s.data),
+    },
+    Artefact {
+        names: &["table4"],
+        render: |s| table4(s.data),
+    },
+    Artefact {
+        names: &["table5"],
+        render: |_| table5(),
+    },
+    Artefact {
+        names: &["table7"],
+        render: |s| table7(s.vendors, s.data, s.late_day),
+    },
+    Artefact {
+        names: &["fig1"],
+        render: |s| fig1(s.world, s.data),
+    },
+    Artefact {
+        names: &["fig2", "fig3"],
+        render: |s| fig2_fig3(s.data),
+    },
+    Artefact {
+        names: &["fig4"],
+        render: |s| fig4(s.data),
+    },
+    Artefact {
+        names: &["fig5", "fig6", "fig7"],
+        render: |s| fig5_fig6_fig7(s.data),
+    },
+    Artefact {
+        names: &["fig8"],
+        render: |s| fig8(s.data),
+    },
+    Artefact {
+        names: &["fig9"],
+        render: |s| fig9(s.data),
+    },
+    Artefact {
+        names: &["fig10"],
+        render: |s| fig10(s.data),
+    },
+    Artefact {
+        names: &["fig11"],
+        render: |s| fig11(s.data),
+    },
+    Artefact {
+        names: &["fig12"],
+        render: |s| fig12(s.world, s.data),
+    },
+    Artefact {
+        names: &["fig13"],
+        render: |s| fig13(s.data),
+    },
+    Artefact {
+        names: &["stats"],
+        render: |s| stats(s.data),
+    },
+    Artefact {
+        names: &["evaluation"],
+        render: |s| evaluation(s.world, s.data),
+    },
+];
+
+/// The artefact `name` selects, if any.
+pub fn find(name: &str) -> Option<&'static Artefact> {
+    ARTEFACTS.iter().find(|a| a.names.contains(&name))
+}
+
+/// Every artefact name, in paper order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    ARTEFACTS.iter().flat_map(|a| a.names.iter().copied())
+}
+
 /// Everything, in paper order.
 pub fn all(world: &World, data: &Datasets, vendors: &VendorDb, late_day: u32) -> String {
+    let study = Study {
+        world,
+        data,
+        vendors,
+        late_day,
+    };
     let mut out = String::new();
-    for part in [
-        table1(data),
-        table2(world, data),
-        table3(data),
-        table4(data),
-        table5(),
-        table7(vendors, data, late_day),
-        fig1(world, data),
-        fig2_fig3(data),
-        fig4(data),
-        fig5_fig6_fig7(data),
-        fig8(data),
-        fig9(data),
-        fig10(data),
-        fig11(data),
-        fig12(world, data),
-        fig13(data),
-        stats(data),
-        evaluation(world, data),
-    ] {
-        out.push_str(&part);
+    for artefact in ARTEFACTS {
+        out.push_str(&(artefact.render)(&study));
         out.push('\n');
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A name listed twice would select only its first artefact.
+    #[test]
+    fn every_name_selects_one_artefact() {
+        let names: Vec<&str> = names().collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "{name} is listed twice");
+        }
+        assert_eq!(find("fig3").map(|a| a.names), Some(&["fig2", "fig3"][..]));
+    }
 }

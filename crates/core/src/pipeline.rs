@@ -1716,9 +1716,9 @@ fn static_triage(elf: &[u8], day: u32, sha256: &str, tel: &Telemetry) -> TriageR
 /// stage records the casualty in D-Health instead of aborting the
 /// study.
 ///
-/// Public so the bench harness can time the contained stage in
-/// isolation (`malnet-bench`'s `par_sweep`); pipeline callers go
-/// through [`Pipeline::run`].
+/// Public so a test can drive the contained stage in isolation
+/// (`tests/telemetry_report.rs` quarantines one sample of a batch);
+/// pipeline callers go through [`Pipeline::run`].
 pub fn run_contained_batch(
     world: &World,
     opts: &PipelineOpts,
@@ -1727,8 +1727,8 @@ pub fn run_contained_batch(
     tel: &Telemetry,
 ) -> Vec<Result<ContainedOutcome, Quarantined>> {
     // Workers re-attach their per-sample spans under the epoch's
-    // phase-A span (or wherever the caller sits — the bench harness
-    // calls this with no span open, which degrades to a root span).
+    // phase-A span (or wherever the caller sits — a direct caller with
+    // no span open degrades to a root span).
     let parent = tel.current_span();
     crate::par::fan_out(
         batch.len(),

@@ -3,7 +3,7 @@
 //! The contained-activation stage may fan out over worker threads
 //! (`PipelineOpts::parallelism`), but the study's outputs must not
 //! depend on scheduling. These tests run the same world through the
-//! pipeline at parallelism 1 (the legacy sequential path), 2, and 8,
+//! pipeline at parallelism 1 (the legacy sequential path), 2, 4 and 8,
 //! across several master seeds, and require the canonical serializations
 //! of both the datasets and the vendor-feed state to be byte-identical.
 //!
@@ -81,8 +81,8 @@ fn mask_variant_fields(stream: &str) -> String {
     )
 }
 
-/// The core differential: for each master seed, parallelism ∈ {1, 2, 8}
-/// produce byte-identical datasets and vendor state.
+/// The core differential: for each master seed, parallelism ∈ {1, 2, 4,
+/// 8} produce byte-identical datasets and vendor state.
 #[test]
 fn parallelism_is_invisible_in_output() {
     for seed in [7u64, 22, 1009] {
@@ -92,7 +92,7 @@ fn parallelism_is_invisible_in_output() {
             base_data.contains("== D-Samples =="),
             "dump looks malformed"
         );
-        for par in [2usize, 8] {
+        for par in [2usize, 4, 8] {
             let (data, vendors) = run_dumps(&world, seed, par);
             assert_eq!(
                 base_data, data,
@@ -712,7 +712,7 @@ fn event_streaming_is_inert_and_foldable() {
     }
 }
 
-/// The ISSUE's day-epoch acceptance matrix: day-shards {1, 2, 8} ×
+/// The day-epoch acceptance matrix: day-shards {1, 2, 4, 8} ×
 /// parallelism {1, 8} × fault plan {none, fixed-seed chaos} — every
 /// cell produces the bytes of that fault arm's unsharded, sequential
 /// baseline. This is the headline differential of the epoch refactor:
@@ -745,7 +745,7 @@ fn day_shard_matrix_is_byte_identical() {
             baseline.0.contains("== D-C2s ==") && baseline.0.contains("live_days"),
             "baseline has no liveness tracking to stitch"
         );
-        for shards in [1usize, 2, 8] {
+        for shards in [1usize, 2, 4, 8] {
             for par in [1usize, 8] {
                 if shards == 1 && par == 1 {
                     continue; // that cell *is* the baseline

@@ -175,11 +175,6 @@ impl AsDb {
         best.map(|(_, asn)| asn)
     }
 
-    /// Record for the AS owning `ip`.
-    pub fn record_of(&self, ip: Ipv4Addr) -> Option<&AsRecord> {
-        self.asn_of(ip).and_then(|a| self.get(a))
-    }
-
     /// Deterministically allocate the next unused IP within the AS's
     /// prefixes. Returns `None` if the AS is unknown or full.
     pub fn alloc_ip(&mut self, asn: Asn) -> Option<Ipv4Addr> {

@@ -127,12 +127,6 @@ impl ServiceCtx<'_> {
         self.out.push(p);
     }
 
-    /// Send a raw pre-built packet (source must be this host).
-    pub fn send_raw(&mut self, pkt: Packet) {
-        debug_assert_eq!(pkt.src, self.stack.ip);
-        self.out.push(pkt);
-    }
-
     /// Arm a timer; `token` comes back via [`Service::on_timer`].
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.timers.push((delay, token));
@@ -491,15 +485,6 @@ impl Network {
         cap.unwrap_or_default()
     }
 
-    /// Peek at a running capture without stopping it.
-    pub fn capture_len(&self, ip: Ipv4Addr) -> usize {
-        self.hosts
-            .get(&ip)
-            .and_then(|h| h.capture.as_ref())
-            .map(|c| c.len())
-            .unwrap_or(0)
-    }
-
     fn record(&mut self, ip: Ipv4Addr, ts: SimTime, pkt: &Packet) {
         if self.capturing == 0 {
             return;
@@ -610,18 +595,14 @@ impl Network {
 
     /// Active-open from an external host, arming the SYN timeout.
     pub fn ext_tcp_connect(&mut self, ip: Ipv4Addr, dst: Ipv4Addr, dport: u16) -> SockId {
-        self.ext_open(ip, |s| s.tcp_connect(dst, dport))
-    }
-
-    /// Active-open from an external host with a fixed source port.
-    pub fn ext_tcp_connect_from(
-        &mut self,
-        ip: Ipv4Addr,
-        sport: u16,
-        dst: Ipv4Addr,
-        dport: u16,
-    ) -> SockId {
-        self.ext_open(ip, |s| s.tcp_connect_from(sport, dst, dport))
+        let host = self.hosts.get_mut(&ip).expect("external host exists");
+        debug_assert!(matches!(host.driver, Driver::External(_)));
+        let (sock, syn) = host.stack.tcp_connect(dst, dport);
+        self.send_packet(syn);
+        let at = self.now + CONNECT_TIMEOUT;
+        self.queue
+            .push(at, EventKind::ConnectTimeout { host: ip, sock }, None);
+        sock
     }
 
     /// Send a sweep SYN from an external host: exactly
@@ -654,23 +635,6 @@ impl Network {
         (sock, false)
     }
 
-    /// Run an active open on an external host's stack, send its SYN and
-    /// arm the SYN timeout.
-    fn ext_open(
-        &mut self,
-        ip: Ipv4Addr,
-        open: impl FnOnce(&mut HostStack) -> (SockId, Packet),
-    ) -> SockId {
-        let host = self.hosts.get_mut(&ip).expect("external host exists");
-        debug_assert!(matches!(host.driver, Driver::External(_)));
-        let (sock, syn) = open(&mut host.stack);
-        self.send_packet(syn);
-        let at = self.now + CONNECT_TIMEOUT;
-        self.queue
-            .push(at, EventKind::ConnectTimeout { host: ip, sock }, None);
-        sock
-    }
-
     /// Send on an external host's connection.
     pub fn ext_tcp_send(&mut self, ip: Ipv4Addr, sock: SockId, data: &[u8]) {
         self.with_external(ip, |s| ((), s.tcp_send(sock, data)));
@@ -684,14 +648,6 @@ impl Network {
     /// Abort an external host's connection.
     pub fn ext_tcp_abort(&mut self, ip: Ipv4Addr, sock: SockId) {
         self.with_external(ip, |s| ((), s.tcp_abort(sock).into_iter().collect()));
-    }
-
-    /// Listen on an external host.
-    pub fn ext_tcp_listen(&mut self, ip: Ipv4Addr, port: u16) {
-        self.with_external(ip, |s| {
-            s.tcp_listen(port);
-            ((), vec![])
-        });
     }
 
     /// Bind UDP on an external host.
@@ -1653,37 +1609,37 @@ mod tests {
         assert!(woke > 0, "no SYN reached a host that came up in flight");
     }
 
-    /// Breaks the contract on `start` in one of three ways.
-    struct Loud(u8);
-    impl Service for Loud {
-        fn start(&mut self, ctx: &mut ServiceCtx<'_>) {
-            match self.0 {
-                0 => ctx.udp_send(1, A, 1, vec![0]),
-                1 => ctx.set_timer(SimDuration::from_secs(1), 0),
-                _ => {
-                    ctx.rng().gen::<u64>();
-                }
-            }
-        }
-        fn on_event(&mut self, _ctx: &mut ServiceCtx<'_>, _ev: SockEvent) {}
-    }
-
-    struct LoudHost(u8);
-    impl HostSource for LoudHost {
-        fn declared(&self, ip: Ipv4Addr) -> Option<bool> {
-            (ip == D).then_some(true)
-        }
-        fn build(&self, _ip: Ipv4Addr) -> Box<dyn Service + Send> {
-            Box::new(Loud(self.0))
-        }
-    }
-
     /// A declared host whose `start` sends, arms a timer or draws from
     /// the network RNG would not equal the host built eagerly, so debug
     /// builds refuse to build it.
     #[test]
     #[cfg(debug_assertions)]
     fn a_declared_host_must_start_quietly() {
+        /// Breaks the contract on `start` in one of three ways.
+        struct Loud(u8);
+        impl Service for Loud {
+            fn start(&mut self, ctx: &mut ServiceCtx<'_>) {
+                match self.0 {
+                    0 => ctx.udp_send(1, A, 1, vec![0]),
+                    1 => ctx.set_timer(SimDuration::from_secs(1), 0),
+                    _ => {
+                        ctx.rng().gen::<u64>();
+                    }
+                }
+            }
+            fn on_event(&mut self, _ctx: &mut ServiceCtx<'_>, _ev: SockEvent) {}
+        }
+
+        struct LoudHost(u8);
+        impl HostSource for LoudHost {
+            fn declared(&self, ip: Ipv4Addr) -> Option<bool> {
+                (ip == D).then_some(true)
+            }
+            fn build(&self, _ip: Ipv4Addr) -> Box<dyn Service + Send> {
+                Box::new(Loud(self.0))
+            }
+        }
+
         for kind in 0..3 {
             let mut net = net();
             net.set_host_source(Box::new(LoudHost(kind)));

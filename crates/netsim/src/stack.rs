@@ -176,16 +176,6 @@ impl HostStack {
         self.listeners.insert(port);
     }
 
-    /// Stop listening on `port` (existing connections unaffected).
-    pub fn tcp_unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
-    }
-
-    /// Is anything listening on the given TCP port?
-    pub fn is_listening(&self, port: u16) -> bool {
-        self.listeners.contains(&port)
-    }
-
     /// Bind a UDP port.
     pub fn udp_bind(&mut self, port: u16) {
         self.udp_binds.insert(port);
@@ -323,12 +313,6 @@ impl HostStack {
             sock,
             reason: ConnectError::TimedOut,
         })
-    }
-
-    /// Drop all connection state (used when a host goes down).
-    pub fn reset_all(&mut self) {
-        self.conns.clear();
-        self.by_sock.clear();
     }
 
     /// Abort every connection, returning the RST notifications for the

@@ -140,12 +140,6 @@ impl Telemetry {
         }
     }
 
-    /// The attached event sink, if any (bench bins use this to reach
-    /// the stream for post-run validation).
-    pub fn event_sink(&self) -> Option<EventSink> {
-        self.inner.as_ref().and_then(|r| r.events.clone())
-    }
-
     /// The inert handle: no registry, every operation is a no-op branch.
     pub fn disabled() -> Self {
         Telemetry { inner: None }

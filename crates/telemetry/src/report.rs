@@ -3,8 +3,9 @@
 //! A [`RunReport`] is a plain-data snapshot of a telemetry registry:
 //! span wall-times (total and self), counter values, histogram
 //! summaries, and ordered rollup rows. [`RunReport::to_json`] renders
-//! the stable on-disk schema (`malnet.run_report` v1) that `par_sweep`
-//! and CI write under `results/`; EXPERIMENTS.md documents the format.
+//! the stable on-disk schema (`malnet.run_report` v1) that
+//! `malnet-bench`'s `run_report` bin writes to
+//! `results/run_report.json`; EXPERIMENTS.md documents the format.
 
 use std::fmt::Write as _;
 

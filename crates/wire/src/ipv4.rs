@@ -6,7 +6,7 @@
 
 use std::net::Ipv4Addr;
 
-use crate::checksum::{self, Checksum};
+use crate::checksum;
 use crate::error::WireError;
 
 /// Minimum (and, without options, exact) IPv4 header length.
@@ -165,14 +165,6 @@ impl Ipv4Header {
         };
         // Guarded: ihl <= tl <= len established above. lint: index-ok
         Ok((hdr, &data[ihl..tl]))
-    }
-
-    /// Seed a pseudo-header checksum accumulator for this packet's
-    /// transport payload of `len` bytes.
-    pub fn pseudo_header_checksum(&self, len: u16) -> Checksum {
-        let mut c = Checksum::new();
-        c.push_pseudo_header(self.src, self.dst, self.protocol.into(), len);
-        c
     }
 }
 
