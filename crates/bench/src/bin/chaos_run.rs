@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use malnet_bench::parse_args;
+use malnet_bench::parse_chaos_args;
 use malnet_botgen::world::{Calibration, World, WorldConfig};
 use malnet_core::chaos::FaultPlan;
 use malnet_core::{Pipeline, PipelineOpts};
@@ -82,7 +82,7 @@ fn fault_plan_json(p: &FaultPlan) -> String {
 }
 
 fn main() {
-    let mut opts = parse_args();
+    let (mut opts, fault_seed) = parse_chaos_args();
     if opts.samples == 1447 {
         opts.samples = 48; // CI-sized corpus; still hits every stage
     }
@@ -96,7 +96,7 @@ fn main() {
     let events_path = std::path::Path::new("results/events_chaos.jsonl");
     let sink = malnet_telemetry::EventSink::create(events_path).expect("create event stream");
     let tel = Telemetry::enabled_with_events(sink);
-    let fault_seed = opts.fault_seed.unwrap_or(FAULT_SEED);
+    let fault_seed = fault_seed.unwrap_or(FAULT_SEED);
     let plan = FaultPlan::chaos(fault_seed);
     let popts = PipelineOpts {
         seed: opts.seed,

@@ -26,7 +26,7 @@
 
 use std::fmt::Write as _;
 
-use malnet_bench::parse_args;
+use malnet_bench::parse_chaos_args;
 use malnet_botgen::world::{Calibration, World, WorldConfig};
 use malnet_core::chaos::FaultPlan;
 use malnet_core::datasets::HealthKind;
@@ -83,11 +83,11 @@ fn emu_fault_rows(data: &Datasets) -> usize {
 }
 
 fn main() {
-    let mut opts = parse_args();
+    let (mut opts, fault_seed) = parse_chaos_args();
     if opts.samples == 1447 {
         opts.samples = 48; // CI-sized corpus; still hits every stage
     }
-    let first_seed = opts.fault_seed.unwrap_or(FAULT_SEED);
+    let first_seed = fault_seed.unwrap_or(FAULT_SEED);
     let fault_seeds = [first_seed, first_seed.wrapping_add(SEED_STRIDE)];
     let intensities: Vec<f64> = INTENSITY_MILLE.iter().map(|&m| m as f64 / 1000.0).collect();
 

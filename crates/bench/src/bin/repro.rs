@@ -5,7 +5,7 @@
 //!
 //! Usage: `cargo run -p malnet-bench --release --bin repro -- [--only <name>] [--samples N] [--seed S] [--fast]`
 
-use malnet_bench::{parse_args_from, render, run_study};
+use malnet_bench::{parse_args_from, render, run_study, take_flag, usage_error};
 use malnet_core::PipelineOpts;
 
 const USAGE: &str = "usage: repro [--only <name>] [--samples N] [--seed S] [--fast]";
@@ -13,10 +13,7 @@ const USAGE: &str = "usage: repro [--only <name>] [--samples N] [--seed S] [--fa
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let parsed = take_only(&mut args).and_then(|only| Ok((only, parse_args_from(&args)?)));
-    let (only, opts) = parsed.unwrap_or_else(|e| {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(2)
-    });
+    let (only, opts) = parsed.unwrap_or_else(|e| usage_error(&e, USAGE));
     let (world, data, vendors) = run_study(&opts);
     let late_day = PipelineOpts::default().late_query_day;
     let out = match only {
@@ -35,14 +32,9 @@ fn main() {
 /// common flags parse from what is left and a bad name fails before
 /// any study runs.
 fn take_only(args: &mut Vec<String>) -> Result<Option<&'static render::Artefact>, String> {
-    let Some(at) = args.iter().position(|a| a == "--only") else {
+    let Some(name) = take_flag(args, "--only")? else {
         return Ok(None);
     };
-    args.remove(at);
-    if at == args.len() {
-        return Err("--only needs a value".into());
-    }
-    let name = args.remove(at);
     match render::find(&name) {
         Some(artefact) => Ok(Some(artefact)),
         None => Err(format!(

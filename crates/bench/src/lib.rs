@@ -1,26 +1,26 @@
-//! # malnet-bench — table/figure regeneration and benchmarks
+//! # malnet-bench — table/figure regeneration and the study binaries
 //!
 //! The `repro` binary regenerates the paper's tables and figures from
 //! one full pipeline run and prints them next to the paper's reported
 //! values: all of them in paper order, or one with `--only <name>`
-//! (the names and renderers are [`render::ARTEFACTS`]). Component
-//! benches (`benches/components.rs`, on the in-repo [`timing`]
-//! harness) measure the performance of every pipeline component; the
+//! (the names and renderers are [`render::ARTEFACTS`]). The
 //! `ablations` binary sweeps the design knobs DESIGN.md calls out; the
 //! `run_report`, `chaos_run`, `chaos_sweep`, `static_xval` and
 //! `lint_report` binaries write and self-validate the `results/`
 //! artifacts, and `study_watch` follows or validates an event stream.
+//! The study benchmark (`benchmark/`) measures performance end to end;
+//! `tests/perf_gates.rs` keeps two component costs gated.
 //!
-//! The study binaries take the common flags of [`parse_args`]. `repro`
-//! defaults to the paper's 1447 samples at seed 22, the others to a
-//! CI-sized corpus; smaller corpora run in seconds and preserve the
-//! shapes.
+//! The study binaries take the common flags of [`parse_args`]; the
+//! chaos binaries also take `--fault-seed N` ([`parse_chaos_args`]).
+//! `repro` defaults to the paper's 1447 samples at seed 22, the others
+//! to a CI-sized corpus; smaller corpora run in seconds and preserve
+//! the shapes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod render;
-pub mod timing;
 
 use malnet_botgen::world::{Calibration, World, WorldConfig};
 use malnet_core::{Datasets, Pipeline, PipelineOpts};
@@ -35,9 +35,6 @@ pub struct RunOpts {
     pub seed: u64,
     /// Use fast (reduced-duration) pipeline settings.
     pub fast: bool,
-    /// Chaos fault seed override (`--fault-seed N`); the chaos binaries
-    /// fall back to their own fixed default when absent.
-    pub fault_seed: Option<u64>,
 }
 
 impl Default for RunOpts {
@@ -46,31 +43,61 @@ impl Default for RunOpts {
             samples: 1447,
             seed: 22,
             fast: false,
-            fault_seed: None,
         }
     }
 }
 
 /// The common flags, as printed on a usage error.
-const USAGE: &str = "usage: [--samples N] [--seed S] [--fast] [--fault-seed N]";
+const USAGE: &str = "usage: [--samples N] [--seed S] [--fast]";
 
-/// Parse `--samples N --seed S --fast --fault-seed N` from argv; on an
-/// unknown flag or a missing or malformed value, print the error and
-/// [`USAGE`] and exit 2.
+/// Parse `--samples N --seed S --fast` from argv; on an unknown flag or
+/// a missing or malformed value, print the error and [`USAGE`] and
+/// exit 2.
 pub fn parse_args() -> RunOpts {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_args_from(&args).unwrap_or_else(|e| {
-        eprintln!("{e}\n{USAGE}");
-        std::process::exit(2)
-    })
+    parse_args_from(&args).unwrap_or_else(|e| usage_error(&e, USAGE))
+}
+
+/// [`parse_args`] for the chaos binaries, which also take
+/// `--fault-seed N`: the seed of their fault plan, `None` when absent.
+pub fn parse_chaos_args() -> (RunOpts, Option<u64>) {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = take_flag(&mut args, "--fault-seed").and_then(|seed| {
+        let seed = seed.map(|v| parse_value("--fault-seed", &v)).transpose()?;
+        Ok((parse_args_from(&args)?, seed))
+    });
+    parsed.unwrap_or_else(|e| usage_error(&e, &format!("{USAGE} [--fault-seed N]")))
+}
+
+/// Print a command-line error and the usage line, and exit 2.
+pub fn usage_error(err: &str, usage: &str) -> ! {
+    eprintln!("{err}\n{usage}");
+    std::process::exit(2)
+}
+
+/// Take `flag` and its value out of `args`, so that the common flags
+/// parse from what is left: how a binary adds a flag of its own.
+/// `Ok(None)` when the flag is absent.
+pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    args.remove(at);
+    if at == args.len() {
+        return Err(format!("{flag} needs a value"));
+    }
+    Ok(Some(args.remove(at)))
+}
+
+fn parse_value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: malformed value {v:?}"))
 }
 
 /// Parse the common flags from `args` (argv without the program name).
 pub fn parse_args_from(args: &[String]) -> Result<RunOpts, String> {
     fn value<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
-        let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
-        v.parse()
-            .map_err(|_| format!("{flag}: malformed value {v:?}"))
+        parse_value(flag, v.ok_or_else(|| format!("{flag} needs a value"))?)
     }
     let mut opts = RunOpts::default();
     let mut it = args.iter();
@@ -78,7 +105,6 @@ pub fn parse_args_from(args: &[String]) -> Result<RunOpts, String> {
         match arg.as_str() {
             "--samples" => opts.samples = value(arg, it.next())?,
             "--seed" => opts.seed = value(arg, it.next())?,
-            "--fault-seed" => opts.fault_seed = Some(value(arg, it.next())?),
             "--fast" => opts.fast = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -127,23 +153,13 @@ mod tests {
 
     #[test]
     fn every_flag_parses() {
-        let opts = parse(&[
-            "--samples",
-            "60",
-            "--seed",
-            "5",
-            "--fast",
-            "--fault-seed",
-            "9",
-        ])
-        .unwrap();
+        let opts = parse(&["--samples", "60", "--seed", "5", "--fast"]).unwrap();
         assert_eq!(opts.samples, 60);
         assert_eq!(opts.seed, 5);
         assert!(opts.fast);
-        assert_eq!(opts.fault_seed, Some(9));
         let defaults = parse(&[]).unwrap();
         assert_eq!((defaults.samples, defaults.seed), (1447, 22));
-        assert!(!defaults.fast && defaults.fault_seed.is_none());
+        assert!(!defaults.fast);
     }
 
     #[test]
@@ -151,14 +167,32 @@ mod tests {
         let err = parse(&["--sample", "60"]).unwrap_err();
         assert!(err.contains("--sample"), "{err}");
         assert!(parse(&["60"]).is_err());
+        // Only the chaos binaries take `--fault-seed`, out of argv
+        // before the common parse.
+        let err = parse(&["--fault-seed", "9"]).unwrap_err();
+        assert!(err.contains("--fault-seed"), "{err}");
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        for flag in ["--samples", "--seed", "--fault-seed"] {
+        for flag in ["--samples", "--seed"] {
             let err = parse(&["--fast", flag]).unwrap_err();
             assert!(err.contains("needs a value"), "{err}");
         }
+        let mut args = vec!["--fast".to_string(), "--fault-seed".to_string()];
+        let err = take_flag(&mut args, "--fault-seed").unwrap_err();
+        assert!(err.contains("needs a value"), "{err}");
+    }
+
+    #[test]
+    fn take_flag_leaves_the_common_flags() {
+        let mut args: Vec<String> = ["--fast", "--fault-seed", "9", "--seed", "5"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(take_flag(&mut args, "--fault-seed"), Ok(Some("9".into())));
+        assert_eq!(args, ["--fast", "--seed", "5"]);
+        assert_eq!(take_flag(&mut args, "--fault-seed"), Ok(None));
     }
 
     #[test]

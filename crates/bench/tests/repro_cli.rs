@@ -1,5 +1,5 @@
 //! Command-line tests for `repro`, the one entry point for the paper's
-//! tables and figures.
+//! tables and figures, and for the flags only some binaries take.
 
 use std::process::{Command, Output};
 
@@ -47,4 +47,21 @@ fn other_bins_reject_only() {
     let out = run(env!("CARGO_BIN_EXE_chaos_run"), &["--only", "table3"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty());
+}
+
+/// Only the chaos binaries read `--fault-seed`; the others reject it
+/// before any study runs.
+#[test]
+fn bins_without_a_fault_plan_reject_fault_seed() {
+    for bin in [
+        env!("CARGO_BIN_EXE_repro"),
+        env!("CARGO_BIN_EXE_run_report"),
+        env!("CARGO_BIN_EXE_static_xval"),
+    ] {
+        let out = run(bin, &["--fault-seed", "9"]);
+        assert_eq!(out.status.code(), Some(2), "{bin}: {out:?}");
+        assert!(out.stdout.is_empty(), "{bin}: {out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("--fault-seed"), "{bin}: {err}");
+    }
 }

@@ -150,9 +150,8 @@ pub struct DdosRecord {
 
 /// Phase-0 static triage result for one sample (D-Triage row): what
 /// `malnet-xray` learned from the raw ELF bytes before the sandbox ran
-/// a single instruction. Observation-only — nothing downstream branches
-/// on it — so the dynamic datasets are byte-identical with triage on or
-/// off.
+/// a single instruction. Observation-only: nothing downstream branches
+/// on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TriageRecord {
     /// Sample hash.
@@ -308,9 +307,9 @@ impl Datasets {
         for (reason, n) in &self.health.exit_counts {
             out.push_str(&format!("exit {reason} = {n}\n"));
         }
-        // D-Triage stays LAST: the determinism suite strips it by
-        // splitting on the section header to compare the dynamic
-        // datasets across triage on/off.
+        // D-Triage stays LAST: the recorded datasets digests hash this
+        // layout, and the determinism suite reads the triage rows as
+        // everything after the section header.
         out.push_str("== D-Triage ==\n");
         for r in &self.triage {
             out.push_str(&format!("{r:?}\n"));

@@ -98,12 +98,6 @@ pub struct PipelineOpts {
     pub probe_hosts_per_subnet: u32,
     /// Analyze at most this many samples (tests); `None` = all.
     pub max_samples: Option<usize>,
-    /// Run the phase-0 static triage (`malnet-xray`) on every sample
-    /// before its contained activation. Observation-only: the triage
-    /// result lands in D-Triage and telemetry, and nothing downstream
-    /// branches on it, so the dynamic datasets are byte-identical with
-    /// triage on or off (enforced by the parallel-determinism suite).
-    pub static_triage: bool,
     /// Day of the final feed re-query (paper: 2022-05-07 ≈ day 432).
     pub late_query_day: u32,
     /// Worker threads for the fan-out stages (contained activation,
@@ -155,7 +149,6 @@ impl Default for PipelineOpts {
             probe_rounds: 84,
             probe_hosts_per_subnet: 254,
             max_samples: None,
-            static_triage: true,
             late_query_day: STUDY_DAYS + 45,
             parallelism: 1,
             day_shards: 1,
@@ -653,7 +646,7 @@ impl EpochRun<'_> {
             fault_context,
             emu_faults,
         } = outcome;
-        self.data.triage.extend(triage);
+        self.data.triage.push(triage);
         let sample = &self.world.samples[sample_id];
         // Chaos that touched this sample's contained run (binary
         // mutation, injected faults), recorded here — the B1 merge runs
@@ -1442,8 +1435,8 @@ pub struct ContainedOutcome {
     pub candidates: Vec<crate::c2detect::C2Candidate>,
     /// Instructions the emulator retired.
     pub instructions: u64,
-    /// Phase-0 static triage result (None when triage is off).
-    pub triage: Option<TriageRecord>,
+    /// Phase-0 static triage result.
+    pub triage: TriageRecord,
     /// Exit label of the contained run (`"exited(0)"`, `"fault: …"`,
     /// `"deadline"`, `"budget"`) — input to D-Health accounting.
     pub exit: String,
@@ -1512,11 +1505,9 @@ pub fn contained_activation(
     let avclass = avclass2_label(elf).map(str::to_string);
 
     // --- phase 0: static triage (no instruction executed) ---
-    let triage = if opts.static_triage {
+    let triage = {
         let _triage_span = tel.span("pipeline.static_triage");
-        Some(static_triage(elf, day, &sample.sha256, tel))
-    } else {
-        None
+        static_triage(elf, day, &sample.sha256, tel)
     };
 
     // --- contained activation: C2 + exploit extraction ---

@@ -771,7 +771,7 @@ mod tests {
     fn clocks_allowed_in_telemetry_and_bench_but_reapplied_to_payload_modules() {
         let src = "fn f() { let t = Instant::now(); }\n";
         assert!(rules_of("crates/telemetry/src/lib.rs", src).is_empty());
-        assert!(rules_of("crates/bench/benches/components.rs", src).is_empty());
+        assert!(rules_of("crates/bench/tests/perf_gates.rs", src).is_empty());
         assert_eq!(
             rules_of("crates/telemetry/src/events.rs", src),
             vec![("clock", 1)]

@@ -17,13 +17,8 @@
 //!
 //! * `lui rt, hi; ori rt, rt, lo` → [`Op::LiPair`] (every `Ins::Li`);
 //! * `lui; ori; syscall` → [`Op::LiSyscall`] (the syscall prelude);
-//! * `addiu rt, rt, i; bne; nop` → [`Op::CountBne`] (loop counters);
-//! * `addiu; addu; xor; bne; nop` → [`Op::AddAddXorBne`] (the stub's
-//!   mix busy-loop body, which also iterates in place on self-loops);
 //! * any two adjacent pure-ALU ops → [`Op::Alu2`], with the dominant
 //!   `addiu; addu` pair specialized as [`Op::AddiuAddu`];
-//! * a pure-ALU op feeding `bne; nop` → [`Op::AluBne`], with the
-//!   `xor` head specialized as [`Op::XorBne`];
 //! * branches and jumps carry a `nop` flag when their delay slot is a
 //!   `nop` (the assembler always emits one), letting a taken branch
 //!   retire branch+slot in one dispatch and jump directly;
@@ -194,24 +189,10 @@ pub enum Op {
     /// Superinstruction: `lui; ori; syscall` — the stub's syscall
     /// prelude. Retires 3 and yields to the embedder.
     LiSyscall { rt: u8, hi: u32, val: u32 },
-    /// Superinstruction: `addiu rt, rt, imm; bne rs, rt2, target; nop` —
-    /// the loop-counter idiom. Retires 3.
-    CountBne {
-        rt: u8,
-        imm: u32,
-        rs: u8,
-        rt2: u8,
-        target: u32,
-    },
     /// Superinstruction: two adjacent pure-ALU instructions in one
     /// dispatch. Retires 2; degrades to `a` alone when the budget
     /// covers only one instruction.
     Alu2 { a: Alu, b: Alu },
-    /// Superinstruction: a pure-ALU instruction, then
-    /// `bne rs, rt, target` with a `nop` delay slot (the generalized
-    /// loop back-edge). Retires 3; degrades to `a` alone on a short
-    /// budget.
-    AluBne { a: Alu, rs: u8, rt: u8, target: u32 },
     /// [`Op::Alu2`] specialized for the dominant stub idiom
     /// `addiu d1, s1, imm; addu d2, s2, t2` (induction step plus a
     /// dependent arithmetic op): straight-line code, no per-component
@@ -223,37 +204,6 @@ pub enum Op {
         d2: u8,
         s2: u8,
         t2: u8,
-    },
-    /// [`Op::AluBne`] specialized for `xor d, s, t; bne rs, rt, target;
-    /// nop` — the stub's compare-and-loop back-edge. Retires 3.
-    XorBne {
-        d: u8,
-        s: u8,
-        t: u8,
-        rs: u8,
-        rt: u8,
-        target: u32,
-    },
-    /// The whole stub mix busy-loop body in one dispatch:
-    /// `addiu d1, s1, imm; addu d2, s2, t2; xor d3, s3, t3;
-    /// bne rs, rt, target; nop`. Retires 5 per trip, and when the bne
-    /// targets its own head (a self-loop) it keeps iterating without
-    /// re-dispatching until the branch falls through or the budget runs
-    /// out. Degrades to the addiu alone on a short budget.
-    #[allow(clippy::missing_docs_in_private_items)]
-    AddAddXorBne {
-        d1: u8,
-        s1: u8,
-        imm: u32,
-        d2: u8,
-        s2: u8,
-        t2: u8,
-        d3: u8,
-        s3: u8,
-        t3: u8,
-        rs: u8,
-        rt: u8,
-        target: u32,
     },
     /// Superinstruction: group `k` of a compare chain, a run of
     /// `lui t, hi; ori t, t, lo; beq a, t, target; nop` groups that
@@ -427,11 +377,6 @@ impl ExecCache {
     #[inline]
     pub fn contains(&self, pc: u32) -> bool {
         pc >= self.base && pc < self.end && pc & 3 == 0
-    }
-
-    /// First address covered by the cache.
-    pub fn base(&self) -> u32 {
-        self.base
     }
 
     /// One past the last covered address.
@@ -621,97 +566,11 @@ fn fuse(ops: &mut [Op], base: u32, chains: &mut Vec<Vec<CmpArm>>) {
                     i += 2;
                 }
             }
-            (
-                Op::Addiu { rt, rs, imm },
-                Op::Bne {
-                    rs: brs,
-                    rt: brt,
-                    target,
-                    nop: true,
-                },
-            ) if rs == rt && !leader[i + 2] => {
-                // `nop: true` implies the word at i+2 exists and is nop.
-                ops[i] = Op::CountBne {
-                    rt,
-                    imm,
-                    rs: brs,
-                    rt2: brt,
-                    target,
-                };
-                i += 3;
-            }
-            _ => {
-                // The stub's mix busy-loop body — induction, accumulate,
-                // mix, back-edge — fuses whole when no branch lands
-                // inside it (`nop: true` on the bne implies the delay
-                // slot at i+4 exists).
-                if i + 4 < n && !leader[i + 2] && !leader[i + 3] && !leader[i + 4] {
-                    if let (Some(a), Some(b), Some(c)) =
-                        (as_alu(ops[i]), as_alu(ops[i + 1]), as_alu(ops[i + 2]))
-                    {
-                        if let Op::Bne {
-                            rs,
-                            rt,
-                            target,
-                            nop: true,
-                        } = ops[i + 3]
-                        {
-                            if a.k == AluK::Addiu && b.k == AluK::Addu && c.k == AluK::Xor {
-                                ops[i] = Op::AddAddXorBne {
-                                    d1: a.d,
-                                    s1: a.s,
-                                    imm: a.imm,
-                                    d2: b.d,
-                                    s2: b.s,
-                                    t2: b.t,
-                                    d3: c.d,
-                                    s3: c.s,
-                                    t3: c.t,
-                                    rs,
-                                    rt,
-                                    target,
-                                };
-                                i += 5;
-                                continue;
-                            }
-                        }
-                    }
-                }
-                // Generalized back-edge: any pure-ALU op feeding a bne
-                // with a nop delay slot (`nop: true` implies the word at
-                // i+2 exists and is the nop).
-                if let Op::Bne {
-                    rs,
-                    rt,
-                    target,
-                    nop: true,
-                } = ops[i + 1]
-                {
-                    // `nop: true` implies the word at i+2 exists.
-                    if !leader[i + 2] {
-                        if let Some(a) = as_alu(ops[i]) {
-                            // Dispatch-free variant for the hot kind.
-                            ops[i] = if a.k == AluK::Xor {
-                                Op::XorBne {
-                                    d: a.d,
-                                    s: a.s,
-                                    t: a.t,
-                                    rs,
-                                    rt,
-                                    target,
-                                }
-                            } else {
-                                Op::AluBne { a, rs, rt, target }
-                            };
-                            i += 3;
-                            continue;
-                        }
-                    }
-                }
+            (a, b) => {
                 // Any two adjacent pure-ALU ops pair into one dispatch;
                 // the dominant induction-plus-arith pair gets the
                 // dispatch-free variant.
-                if let (Some(a), Some(b)) = (as_alu(ops[i]), as_alu(ops[i + 1])) {
+                if let (Some(a), Some(b)) = (as_alu(a), as_alu(b)) {
                     ops[i] = if a.k == AluK::Addiu && b.k == AluK::Addu {
                         Op::AddiuAddu {
                             d1: a.d,
@@ -725,9 +584,9 @@ fn fuse(ops: &mut [Op], base: u32, chains: &mut Vec<Vec<CmpArm>>) {
                         Op::Alu2 { a, b }
                     };
                     i += 2;
-                    continue;
+                } else {
+                    i += 1;
                 }
-                i += 1;
             }
         }
     }
@@ -902,36 +761,6 @@ impl Cpu {
                     }
                 }};
             }
-            // Handler peeking at back-edges: taken fused branches land
-            // on a block head, and in hot loops that head is the fused
-            // induction pair. Executing it inline here (a cheap
-            // discriminant test, a direct conditional branch) keeps the
-            // main `match` site seeing one variant per loop, so its
-            // indirect branch stays predicted instead of alternating.
-            macro_rules! peek {
-                () => {
-                    if remaining >= 2 {
-                        if let Op::AddiuAddu {
-                            d1,
-                            s1,
-                            imm,
-                            d2,
-                            s2,
-                            t2,
-                        } = cache.ops[idx]
-                        {
-                            let v = rr!(s1).wrapping_add(imm);
-                            wr!(d1, v);
-                            let v2 = rr!(s2).wrapping_add(rr!(t2));
-                            wr!(d2, v2);
-                            remaining -= 2;
-                            pc = pc.wrapping_add(8);
-                            idx += 2;
-                        }
-                    }
-                };
-            }
-
             loop {
                 if remaining == 0 {
                     self.pc = pc;
@@ -953,26 +782,6 @@ impl Cpu {
                             adv!();
                         }
                     }
-                    Op::AluBne { a, rs, rt, target } => {
-                        if remaining >= 3 {
-                            alu_eval(&mut self.regs, a);
-                            // The bne reads post-ALU values, exactly as
-                            // the sequential stream would.
-                            let taken = rr!(rs) != rr!(rt);
-                            remaining -= 3;
-                            pc = if taken { target } else { pc.wrapping_add(12) };
-                            if !cache.contains(pc) {
-                                self.pc = pc;
-                                self.retired += entered - remaining;
-                                continue 'outer;
-                            }
-                            idx = ((pc - base) >> 2) as usize;
-                            peek!();
-                        } else {
-                            alu_eval(&mut self.regs, a);
-                            adv!();
-                        }
-                    }
                     Op::AddiuAddu {
                         d1,
                         s1,
@@ -990,79 +799,6 @@ impl Cpu {
                             pc = pc.wrapping_add(8);
                             idx += 2;
                         } else {
-                            adv!();
-                        }
-                    }
-                    Op::XorBne {
-                        d,
-                        s,
-                        t,
-                        rs,
-                        rt,
-                        target,
-                    } => {
-                        let v = rr!(s) ^ rr!(t);
-                        wr!(d, v);
-                        if remaining >= 3 {
-                            // The bne reads post-xor values, exactly as
-                            // the sequential stream would.
-                            let taken = rr!(rs) != rr!(rt);
-                            remaining -= 3;
-                            pc = if taken { target } else { pc.wrapping_add(12) };
-                            if !cache.contains(pc) {
-                                self.pc = pc;
-                                self.retired += entered - remaining;
-                                continue 'outer;
-                            }
-                            idx = ((pc - base) >> 2) as usize;
-                            peek!();
-                        } else {
-                            adv!();
-                        }
-                    }
-                    Op::AddAddXorBne {
-                        d1,
-                        s1,
-                        imm,
-                        d2,
-                        s2,
-                        t2,
-                        d3,
-                        s3,
-                        t3,
-                        rs,
-                        rt,
-                        target,
-                    } => {
-                        if remaining >= 5 {
-                            let head = pc;
-                            loop {
-                                let v = rr!(s1).wrapping_add(imm);
-                                wr!(d1, v);
-                                let v2 = rr!(s2).wrapping_add(rr!(t2));
-                                wr!(d2, v2);
-                                let v3 = rr!(s3) ^ rr!(t3);
-                                wr!(d3, v3);
-                                // The bne reads post-ALU values, exactly
-                                // as the sequential stream would.
-                                let taken = rr!(rs) != rr!(rt);
-                                remaining -= 5;
-                                pc = if taken { target } else { head.wrapping_add(20) };
-                                // Self-loop: iterate in place while the
-                                // budget holds, no re-dispatch.
-                                if !(taken && target == head && remaining >= 5) {
-                                    break;
-                                }
-                            }
-                            if !cache.contains(pc) {
-                                self.pc = pc;
-                                self.retired += entered - remaining;
-                                continue 'outer;
-                            }
-                            idx = ((pc - base) >> 2) as usize;
-                        } else {
-                            let v = rr!(s1).wrapping_add(imm);
-                            wr!(d1, v);
                             adv!();
                         }
                     }
@@ -1370,32 +1106,6 @@ impl Cpu {
                             return Ok(Some(StepOutcome::Syscall));
                         } else {
                             wr!(rt, hi);
-                            adv!();
-                        }
-                    }
-                    Op::CountBne {
-                        rt,
-                        imm,
-                        rs,
-                        rt2,
-                        target,
-                    } => {
-                        let v = rr!(rt).wrapping_add(imm);
-                        wr!(rt, v);
-                        if remaining >= 3 {
-                            // The bne reads post-increment values, as in
-                            // the sequential stream.
-                            let taken = rr!(rs) != rr!(rt2);
-                            remaining -= 3;
-                            pc = if taken { target } else { pc.wrapping_add(12) };
-                            if !cache.contains(pc) {
-                                self.pc = pc;
-                                self.retired += entered - remaining;
-                                continue 'outer;
-                            }
-                            idx = ((pc - base) >> 2) as usize;
-                            peek!();
-                        } else {
                             adv!();
                         }
                     }
@@ -1838,7 +1548,10 @@ mod tests {
         let code = asm(|a| {
             a.ins(Ins::Li(Reg::T1, 0x12345678)) // LiPair
                 .label("loop")
-                .ins(Ins::Addiu(Reg::T0, Reg::T0, 1)) // CountBne head
+                .ins(Ins::Addiu(Reg::T0, Reg::T0, 1)) // AddiuAddu head
+                .ins(Ins::Addu(Reg::T2, Reg::T0, Reg::T0))
+                .ins(Ins::Xor(Reg::T3, Reg::T2, Reg::T0)) // Alu2 head
+                .ins(Ins::Sll(Reg::T3, Reg::T3, 1))
                 .ins(Ins::Bne(Reg::T0, Reg::T1, "loop".into()))
                 .ins(Ins::Li(Reg::V0, 4001)) // LiSyscall
                 .ins(Ins::Syscall);
@@ -1846,11 +1559,15 @@ mod tests {
         let (cpu, cache) = setup(code, false);
         drop(cpu);
         assert!(matches!(cache.ops[0], Op::LiPair { rt: 9, .. }));
-        assert!(matches!(cache.ops[2], Op::CountBne { .. }));
+        assert!(matches!(cache.ops[2], Op::AddiuAddu { d1: 8, .. }));
+        assert!(matches!(cache.ops[4], Op::Alu2 { .. }));
         // Component words keep their plain ops for mid-sequence entry.
         assert!(matches!(cache.ops[1], Op::Ori { .. }));
-        assert!(matches!(cache.ops[3], Op::Bne { .. }));
-        assert!(matches!(cache.ops[5], Op::LiSyscall { rt: 2, .. }));
+        assert!(matches!(cache.ops[3], Op::Addu { .. }));
+        assert!(matches!(cache.ops[5], Op::Sll { .. }));
+        // A back-edge stays a plain branch that retires its nop slot.
+        assert!(matches!(cache.ops[6], Op::Bne { nop: true, .. }));
+        assert!(matches!(cache.ops[8], Op::LiSyscall { rt: 2, .. }));
         assert_eq!(cache.ops.last(), Some(&Op::Leave));
     }
 }
