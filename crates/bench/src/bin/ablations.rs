@@ -15,13 +15,11 @@ use malnet_intel::engines::EngineModel;
 use malnet_protocols::Family;
 
 fn main() {
-    let mut opts = parse_args();
-    if opts.samples == 1447 {
-        opts.samples = 120; // ablations sweep many runs; keep each small
-    }
+    let opts = parse_args();
+    let samples = opts.samples.unwrap_or(120); // ablations sweep many runs; keep each small
     let world = World::generate(WorldConfig {
         seed: opts.seed,
-        n_samples: opts.samples,
+        n_samples: samples,
         cal: Calibration::default(),
     });
 
@@ -33,7 +31,7 @@ fn main() {
     for threshold in [1usize, 5, 20, 60, 200] {
         let p = PipelineOpts {
             handshaker_threshold: threshold,
-            max_samples: Some(opts.samples),
+            max_samples: Some(samples),
             run_probing: false,
             restricted_secs: 60, // exploits only; skip long sessions
             ..PipelineOpts::fast()
@@ -56,7 +54,7 @@ fn main() {
     for pps in [10u64, 50, 100, 300, 1000] {
         let p = PipelineOpts {
             pps_threshold: pps,
-            max_samples: Some(opts.samples),
+            max_samples: Some(samples),
             run_probing: false,
             ..PipelineOpts::fast()
         };

@@ -82,13 +82,11 @@ fn fault_plan_json(p: &FaultPlan) -> String {
 }
 
 fn main() {
-    let (mut opts, fault_seed) = parse_chaos_args();
-    if opts.samples == 1447 {
-        opts.samples = 48; // CI-sized corpus; still hits every stage
-    }
+    let (opts, fault_seed) = parse_chaos_args();
+    let samples = opts.samples.unwrap_or(48); // CI-sized corpus; still hits every stage
     let world = World::generate(WorldConfig {
         seed: opts.seed,
-        n_samples: opts.samples,
+        n_samples: samples,
         cal: Calibration::default(),
     });
     // Stream the chaos run's lifecycle (quarantine and chaos events
@@ -101,7 +99,7 @@ fn main() {
     let popts = PipelineOpts {
         seed: opts.seed,
         parallelism: 2,
-        max_samples: Some(opts.samples),
+        max_samples: Some(samples),
         faults: plan,
         syn_retries: 1,
         ..PipelineOpts::fast()
@@ -123,7 +121,7 @@ fn main() {
     let _ = write!(
         out,
         "\"samples\":{},\"seed\":{},\"fault_seed\":{fault_seed},",
-        opts.samples, opts.seed
+        samples, opts.seed
     );
     let _ = write!(out, "\"fault_plan\":{},", fault_plan_json(&plan));
     let _ = write!(

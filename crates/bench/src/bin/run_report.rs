@@ -91,13 +91,11 @@ fn rollup_failures(report: &RunReport) -> Vec<String> {
 }
 
 fn main() {
-    let mut opts = parse_args();
-    if opts.samples == 1447 {
-        opts.samples = 48; // CI-sized corpus; still hits every stage
-    }
+    let opts = parse_args();
+    let samples = opts.samples.unwrap_or(48); // CI-sized corpus; still hits every stage
     let world = World::generate(WorldConfig {
         seed: opts.seed,
-        n_samples: opts.samples,
+        n_samples: samples,
         cal: Calibration::default(),
     });
     let events_path = std::path::Path::new("results/events.jsonl");
@@ -106,7 +104,7 @@ fn main() {
     let popts = PipelineOpts {
         seed: opts.seed,
         parallelism: 2,
-        max_samples: Some(opts.samples),
+        max_samples: Some(samples),
         ..PipelineOpts::fast()
     };
     let (data, _vendors) = Pipeline::with_telemetry(popts, tel.clone()).run(&world);

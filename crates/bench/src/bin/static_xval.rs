@@ -1,14 +1,13 @@
 //! Cross-validate the static triage against the dynamic pipeline.
 //!
-//! Runs the `fast()` pipeline with triage enabled, scores static C2
-//! candidates against the dynamically observed per-sample C2 addresses
+//! Runs the `fast()` pipeline, scores its D-Triage static C2 candidates
+//! against the dynamically observed per-sample C2 addresses
 //! (`malnet_core::eval::static_cross_validation`), writes
-//! `results/static_report.json` (schema `malnet.static_report` v1,
-//! aggregate flavour: per-family precision/recall plus overall), then
-//! re-reads and validates the artifact. Exits non-zero if the static
-//! pass recovered < 90% of the hardcoded-IP C2s the sandbox observed —
-//! the ISSUE's acceptance bar for endpoint extraction "without
-//! executing an instruction".
+//! `results/static_report.json` (schema `malnet.static_report` v1:
+//! per-family precision/recall plus overall), then re-reads and
+//! validates the artifact. Exits non-zero if the static pass recovered
+//! < 90% of the hardcoded-IP C2s the sandbox observed — the acceptance
+//! bar for endpoint extraction "without executing an instruction".
 //!
 //! Usage:
 //! `cargo run -p malnet-bench --release --bin static_xval -- [--samples N] [--seed S]`
@@ -42,19 +41,17 @@ fn score_json(s: &XvalScore) -> String {
 }
 
 fn main() {
-    let mut opts = parse_args();
-    if opts.samples == 1447 {
-        opts.samples = 48; // CI-sized corpus; still hits every family
-    }
+    let opts = parse_args();
+    let samples = opts.samples.unwrap_or(48); // CI-sized corpus; still hits every family
     let world = World::generate(WorldConfig {
         seed: opts.seed,
-        n_samples: opts.samples,
+        n_samples: samples,
         cal: Calibration::default(),
     });
     let popts = PipelineOpts {
         seed: opts.seed,
         parallelism: 2,
-        max_samples: Some(opts.samples),
+        max_samples: Some(samples),
         ..PipelineOpts::fast()
     };
     let (data, _vendors) = Pipeline::new(popts).run(&world);

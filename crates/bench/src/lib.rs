@@ -29,8 +29,9 @@ use malnet_intel::VendorDb;
 /// Parsed common CLI options.
 #[derive(Debug, Clone)]
 pub struct RunOpts {
-    /// Corpus size.
-    pub samples: usize,
+    /// Corpus size; `None` when `--samples` is absent, and each binary
+    /// names its own default.
+    pub samples: Option<usize>,
     /// Seed.
     pub seed: u64,
     /// Use fast (reduced-duration) pipeline settings.
@@ -40,7 +41,7 @@ pub struct RunOpts {
 impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
-            samples: 1447,
+            samples: None,
             seed: 22,
             fast: false,
         }
@@ -103,7 +104,7 @@ pub fn parse_args_from(args: &[String]) -> Result<RunOpts, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--samples" => opts.samples = value(arg, it.next())?,
+            "--samples" => opts.samples = Some(value(arg, it.next())?),
             "--seed" => opts.seed = value(arg, it.next())?,
             "--fast" => opts.fast = true,
             other => return Err(format!("unknown argument {other:?}")),
@@ -112,11 +113,12 @@ pub fn parse_args_from(args: &[String]) -> Result<RunOpts, String> {
     Ok(opts)
 }
 
-/// Generate the world and run the full pipeline once.
+/// Generate the world and run the full pipeline once, over the paper's
+/// 1447 samples unless `--samples` says otherwise.
 pub fn run_study(opts: &RunOpts) -> (World, Datasets, VendorDb) {
     let world = World::generate(WorldConfig {
         seed: opts.seed,
-        n_samples: opts.samples,
+        n_samples: opts.samples.unwrap_or(1447),
         cal: Calibration::default(),
     });
     let popts = if opts.fast {
@@ -154,12 +156,15 @@ mod tests {
     #[test]
     fn every_flag_parses() {
         let opts = parse(&["--samples", "60", "--seed", "5", "--fast"]).unwrap();
-        assert_eq!(opts.samples, 60);
+        assert_eq!(opts.samples, Some(60));
         assert_eq!(opts.seed, 5);
         assert!(opts.fast);
         let defaults = parse(&[]).unwrap();
-        assert_eq!((defaults.samples, defaults.seed), (1447, 22));
+        assert_eq!((defaults.samples, defaults.seed), (None, 22));
         assert!(!defaults.fast);
+        // The paper's size is a value like any other, not "absent": a
+        // binary with a CI-sized default still runs 1447 when asked.
+        assert_eq!(parse(&["--samples", "1447"]).unwrap().samples, Some(1447));
     }
 
     #[test]

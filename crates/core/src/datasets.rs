@@ -252,7 +252,8 @@ pub struct Datasets {
     /// D-Health: graceful-degradation accounting (quarantined samples,
     /// sandbox faults, budget exhaustion).
     pub health: HealthData,
-    /// D-Triage: static triage observations (empty when triage is off).
+    /// D-Triage: phase-0 static triage observations, one row per
+    /// D-Samples row (quarantined samples have neither).
     pub triage: Vec<TriageRecord>,
 }
 

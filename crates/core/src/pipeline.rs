@@ -467,19 +467,9 @@ pub fn run_day_epochs(world: &World, opts: &PipelineOpts, tel: &Telemetry) -> Ve
     // Workers re-attach their epoch spans under the coordinator's run
     // span, same as every other fan-out in the workspace.
     let parent = tel.current_span();
-    crate::par::fan_out(
-        parts.len(),
-        opts.parallelism,
-        |i| run_epoch(world, opts, &parts[i], tel, &parent),
-        // Unreachable short of a harness bug (see `fan_out`): an empty
-        // epoch keeps the reduce total-ordered instead of aborting.
-        |i| EpochResult {
-            start_day: parts[i].first().map_or(0, |p| p.day),
-            days: Vec::new(),
-            data: Datasets::default(),
-            vendors: VendorDb::new(opts.seed),
-        },
-    )
+    crate::par::fan_out(parts.len(), opts.parallelism, |i| {
+        run_epoch(world, opts, &parts[i], tel, &parent)
+    })
 }
 
 /// Execute one epoch's days in order. Runs on an epoch-pool worker; the
@@ -708,6 +698,9 @@ impl EpochRun<'_> {
         // Exploits (D-Exploits).
         self.data.exploits.extend(exploits);
 
+        let yara_family = yara
+            .as_deref()
+            .and_then(|l| Family::ALL.into_iter().find(|f| f.label() == l));
         let mut live_c2_ips: Vec<(String, Ipv4Addr, u16, Option<Family>)> = Vec::new();
         let mut c2_addrs = Vec::new();
         for cand in &candidates {
@@ -730,9 +723,7 @@ impl EpochRun<'_> {
             let asn = real_ip
                 .and_then(|ip| self.world.asdb.asn_of(ip))
                 .map(|a| a.0);
-            let family_label = cand
-                .family_from_traffic
-                .or_else(|| family_from_label(yara.as_deref()));
+            let family_label = cand.family_from_traffic.or(yara_family);
             let rec = self
                 .data
                 .c2s
@@ -978,16 +969,10 @@ pub fn merge_epoch_results(
                 .map(|(addr, t)| (addr.clone(), t.ip, t.port))
                 .collect();
             let parent = tel.current_span();
-            let alive: Vec<bool> = crate::par::fan_out(
-                targets.len(),
-                opts.parallelism,
-                |i| {
-                    let _span = tel.span_under("pipeline.liveness_probe", &parent);
-                    liveness_oracle(world, opts, day, &targets[i], tel)
-                },
-                // Unreachable short of a harness bug (see `fan_out`).
-                |_| false,
-            );
+            let alive: Vec<bool> = crate::par::fan_out(targets.len(), opts.parallelism, |i| {
+                let _span = tel.span_under("pipeline.liveness_probe", &parent);
+                liveness_oracle(world, opts, day, &targets[i], tel)
+            });
             let mut drop_list = Vec::new();
             for ((addr, _, _), is_live) in targets.iter().zip(&alive) {
                 let Some(t) = tracking.get_mut(addr) else {
@@ -1235,68 +1220,57 @@ fn run_restricted_batch(
     }
     // Workers re-attach their spans under the epoch's phase-B span.
     let parent = tel.current_span();
-    crate::par::fan_out(
-        jobs.len(),
-        opts.parallelism,
-        |i| {
-            let job = &jobs[i];
-            let session = {
-                let _span = tel.span_under("pipeline.restricted_session", &parent);
-                tel.add("pipeline.restricted_sessions", 1);
-                let (mut net, _logs) = world.network_for_day_detached(
-                    day,
-                    sample_seed(opts.seed, day, job.sample_id, SeedStream::RestrictedNet),
-                );
-                net.set_telemetry(tel);
-                apply_world_chaos(&opts.faults, world, &mut net, day, tel);
-                let mut allowed: Vec<Ipv4Addr> = job.live.iter().map(|(_, ip, _, _)| *ip).collect();
-                allowed.push(malnet_botgen::world::WORLD_RESOLVER);
-                let mut sb = Sandbox::new(
-                    net,
-                    SandboxConfig {
-                        bot_ip: BOT_IP,
-                        mode: AnalysisMode::Restricted { allowed },
-                        handshaker_threshold: None,
-                        instruction_budget: 2_000_000_000,
-                        seed: sample_seed(opts.seed, day, job.sample_id, SeedStream::Restricted),
-                        block_engine: opts.block_engine,
-                        // Emulator faults target the contained run only;
-                        // restricted sessions keep the honest fd cap.
-                        fd_cap: malnet_sandbox::process::DEFAULT_FD_CAP,
-                        emu_faults: malnet_sandbox::EmuFaults::none(),
-                    },
-                )
-                .with_telemetry(tel);
-                sb.execute(
-                    &world.samples[job.sample_id].elf,
-                    SimDuration::from_secs(opts.restricted_secs),
-                )
-            };
-            let _eavesdrop_span = tel.span_under("pipeline.ddos_eavesdrop", &parent);
-            let packets = session.packets();
-            let evidence = job
-                .live
-                .iter()
-                .map(|(addr, ip, _port, fam)| {
-                    let cmds = ddos::extract(&packets, BOT_IP, *ip, *fam, opts.pps_threshold);
-                    tel.add("pipeline.ddos_commands_seen", cmds.len() as u64);
-                    (addr.clone(), *ip, *fam, cmds)
-                })
-                .collect();
-            RestrictedOutcome {
-                sample_id: job.sample_id,
-                instructions: session.instructions,
-                evidence,
-            }
-        },
-        // Unreachable short of a harness bug (see `fan_out`): degrade to
-        // "session produced nothing" rather than aborting the study.
-        |i| RestrictedOutcome {
-            sample_id: jobs[i].sample_id,
-            instructions: 0,
-            evidence: Vec::new(),
-        },
-    )
+    crate::par::fan_out(jobs.len(), opts.parallelism, |i| {
+        let job = &jobs[i];
+        let session = {
+            let _span = tel.span_under("pipeline.restricted_session", &parent);
+            tel.add("pipeline.restricted_sessions", 1);
+            let (mut net, _logs) = world.network_for_day_detached(
+                day,
+                sample_seed(opts.seed, day, job.sample_id, SeedStream::RestrictedNet),
+            );
+            net.set_telemetry(tel);
+            apply_world_chaos(&opts.faults, world, &mut net, day, tel);
+            let mut allowed: Vec<Ipv4Addr> = job.live.iter().map(|(_, ip, _, _)| *ip).collect();
+            allowed.push(malnet_botgen::world::WORLD_RESOLVER);
+            let mut sb = Sandbox::new(
+                net,
+                SandboxConfig {
+                    bot_ip: BOT_IP,
+                    mode: AnalysisMode::Restricted { allowed },
+                    handshaker_threshold: None,
+                    instruction_budget: 2_000_000_000,
+                    seed: sample_seed(opts.seed, day, job.sample_id, SeedStream::Restricted),
+                    block_engine: opts.block_engine,
+                    // Emulator faults target the contained run only;
+                    // restricted sessions keep the honest fd cap.
+                    fd_cap: malnet_sandbox::process::DEFAULT_FD_CAP,
+                    emu_faults: malnet_sandbox::EmuFaults::none(),
+                },
+            )
+            .with_telemetry(tel);
+            sb.execute(
+                &world.samples[job.sample_id].elf,
+                SimDuration::from_secs(opts.restricted_secs),
+            )
+        };
+        let _eavesdrop_span = tel.span_under("pipeline.ddos_eavesdrop", &parent);
+        let packets = session.packets();
+        let evidence = job
+            .live
+            .iter()
+            .map(|(addr, ip, _port, fam)| {
+                let cmds = ddos::extract(&packets, BOT_IP, *ip, *fam, opts.pps_threshold);
+                tel.add("pipeline.ddos_commands_seen", cmds.len() as u64);
+                (addr.clone(), *ip, *fam, cmds)
+            })
+            .collect();
+        RestrictedOutcome {
+            sample_id: job.sample_id,
+            instructions: session.instructions,
+            evidence,
+        }
+    })
 }
 
 /// Sub-seed domain for the contained run's isolated [`Network`]. Zero
@@ -1501,8 +1475,9 @@ pub fn contained_activation(
         }
         None => &sample.elf,
     };
-    let yara = yara_label(elf).map(str::to_string);
-    let avclass = avclass2_label(elf).map(str::to_string);
+    let yara_hit = yara_label(elf);
+    let yara = yara_hit.map(str::to_string);
+    let avclass = avclass2_label(yara_hit).map(str::to_string);
 
     // --- phase 0: static triage (no instruction executed) ---
     let triage = {
@@ -1595,7 +1570,7 @@ pub fn contained_activation(
     }
 
     // C2 candidates — skip P2P-labelled samples (§2.3a).
-    let is_p2p = matches!(yara.as_deref(), Some("mozi") | Some("hajime"));
+    let is_p2p = matches!(yara_hit, Some("mozi" | "hajime"));
     let candidates = if is_p2p {
         Vec::new()
     } else {
@@ -1697,14 +1672,14 @@ fn static_triage(elf: &[u8], day: u32, sha256: &str, tel: &Telemetry) -> TriageR
 ///
 /// With `opts.parallelism <= 1` this is a plain sequential loop (the
 /// legacy path). Otherwise a scoped thread pool pulls sample indices
-/// from a shared counter and writes each outcome into its batch slot, so
-/// the returned order — and therefore everything the merge stage does —
-/// is independent of thread scheduling.
+/// from a shared counter and hands each outcome back with its batch
+/// index, so the returned order — and therefore everything the merge
+/// stage does — is independent of thread scheduling.
 ///
 /// A panic inside any sample's contained run is caught on the worker
-/// and returned as a [`Quarantined`] casualty in that sample's batch
-/// slot — the rest of the batch is unaffected and the pipeline's merge
-/// stage records the casualty in D-Health instead of aborting the
+/// and returned as a [`Quarantined`] casualty in that sample's place in
+/// the batch — the rest of the batch is unaffected and the pipeline's
+/// merge stage records the casualty in D-Health instead of aborting the
 /// study.
 ///
 /// Public so a test can drive the contained stage in isolation
@@ -1721,33 +1696,22 @@ pub fn run_contained_batch(
     // phase-A span (or wherever the caller sits — a direct caller with
     // no span open degrades to a root span).
     let parent = tel.current_span();
-    crate::par::fan_out(
-        batch.len(),
-        opts.parallelism,
-        |i| {
-            let id = batch[i];
-            let _span = tel.span_under("pipeline.contained_sample", &parent);
-            std::panic::catch_unwind(AssertUnwindSafe(|| {
-                contained_activation(world, opts, day, id, tel)
-            }))
-            .map_err(|payload| Quarantined {
-                sample_id: id,
-                detail: panic_message(payload.as_ref()),
-                fault_context: if opts.faults.forced_panic(day, id) {
-                    vec!["forced worker panic".to_string()]
-                } else {
-                    Vec::new()
-                },
-            })
-        },
-        |i| {
-            Err(Quarantined {
-                sample_id: batch[i],
-                detail: "phase-A batch slot was never filled".to_string(),
-                fault_context: Vec::new(),
-            })
-        },
-    )
+    crate::par::fan_out(batch.len(), opts.parallelism, |i| {
+        let id = batch[i];
+        let _span = tel.span_under("pipeline.contained_sample", &parent);
+        std::panic::catch_unwind(AssertUnwindSafe(|| {
+            contained_activation(world, opts, day, id, tel)
+        }))
+        .map_err(|payload| Quarantined {
+            sample_id: id,
+            detail: panic_message(payload.as_ref()),
+            fault_context: if opts.faults.forced_panic(day, id) {
+                vec!["forced worker panic".to_string()]
+            } else {
+                Vec::new()
+            },
+        })
+    })
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1758,19 +1722,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-fn family_from_label(label: Option<&str>) -> Option<Family> {
-    match label? {
-        "mirai" => Some(Family::Mirai),
-        "gafgyt" => Some(Family::Gafgyt),
-        "tsunami" => Some(Family::Tsunami),
-        "daddyl33t" => Some(Family::Daddyl33t),
-        "mozi" => Some(Family::Mozi),
-        "hajime" => Some(Family::Hajime),
-        "vpnfilter" => Some(Family::VpnFilter),
-        _ => None,
     }
 }
 

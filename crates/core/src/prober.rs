@@ -189,17 +189,9 @@ pub fn run_probing(
             .min((round / cfg.rounds_per_day + 1) * cfg.rounds_per_day);
         let day_rounds: Vec<u32> = (round..day_end).collect();
         let snapshot = banner_filtered.clone();
-        let day_out = crate::par::fan_out(
-            day_rounds.len(),
-            cfg.parallelism,
-            |i| probe_round(&ctx, day_rounds[i], &snapshot),
-            // Unreachable short of a harness bug (see `fan_out`).
-            |i| RoundResult {
-                round: day_rounds[i],
-                engagements: Vec::new(),
-                banner_filtered: Vec::new(),
-            },
-        );
+        let day_out = crate::par::fan_out(day_rounds.len(), cfg.parallelism, |i| {
+            probe_round(&ctx, day_rounds[i], &snapshot)
+        });
         for r in &day_out {
             banner_filtered.extend(r.banner_filtered.iter().copied());
         }

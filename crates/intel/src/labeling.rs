@@ -1,5 +1,6 @@
 //! Family labeling: YARA-style rules over binary bytes and an AVClass2
-//! mock with the paper's observed failure mode.
+//! mock, derived from the YARA label, with the paper's observed failure
+//! mode.
 //!
 //! §2.2: "We use crowd-sourced YARA rules ... in addition to AVClass2 to
 //! identify the malware family labels. Note that AVClass2 seems to be
@@ -35,10 +36,11 @@ pub fn yara_label(binary: &[u8]) -> Option<&'static str> {
     None
 }
 
-/// AVClass2 mock: starts from the YARA ground truth but reproduces the
+/// AVClass2 mock: starts from the YARA label of the same binary (so a
+/// caller scans the bytes once, with [`yara_label`]) and reproduces the
 /// paper's MIPS quirk — P2P families collapse to "mirai".
-pub fn avclass2_label(binary: &[u8]) -> Option<&'static str> {
-    match yara_label(binary) {
+pub fn avclass2_label(yara: Option<&str>) -> Option<&str> {
+    match yara {
         Some("mozi") | Some("hajime") => Some("mirai"),
         other => other,
     }
@@ -60,9 +62,22 @@ mod tests {
 
     #[test]
     fn avclass2_mislabels_p2p_as_mirai() {
-        assert_eq!(avclass2_label(b"--Mozi.m--"), Some("mirai"));
-        assert_eq!(avclass2_label(b"...hajime..."), Some("mirai"));
-        assert_eq!(avclass2_label(b"BUILD GAFGYT"), Some("gafgyt"));
+        let avclass = |bin: &[u8]| avclass2_label(yara_label(bin));
+        assert_eq!(avclass(b"--Mozi.m--"), Some("mirai"));
+        assert_eq!(avclass(b"...hajime..."), Some("mirai"));
+        assert_eq!(avclass(b"BUILD GAFGYT"), Some("gafgyt"));
+    }
+
+    #[test]
+    fn avclass2_remaps_only_the_p2p_families() {
+        for (family, _) in YARA_RULES {
+            let want = match family {
+                "mozi" | "hajime" => "mirai",
+                other => other,
+            };
+            assert_eq!(avclass2_label(Some(family)), Some(want), "{family}");
+        }
+        assert_eq!(avclass2_label(None), None);
     }
 
     #[test]

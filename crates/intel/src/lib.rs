@@ -14,8 +14,8 @@
 //!   lags. The pipeline queries it exactly like VT: "is this address
 //!   flagged malicious on day D, and by whom?".
 //! * [`labeling`] — YARA-style family rules over binary bytes and an
-//!   AVClass2 mock that reproduces the paper's observed quirk (Mozi
-//!   samples mislabeled as Mirai).
+//!   AVClass2 mock over the YARA label that reproduces the paper's
+//!   observed quirk (Mozi samples mislabeled as Mirai).
 //! * [`engines`] — AV detection-count model for the ≥ 5-engine
 //!   corroboration rule.
 

@@ -143,9 +143,8 @@ pub struct Sandbox {
     cfg: SandboxConfig,
     victim_log: VictimLog,
     dns_names: Arc<Mutex<Vec<String>>>,
-    /// Distinct destination IPs seen per TCP port (handshaker counter).
-    /// Ordered collections: `port_contact_counts` and `Debug` expose
-    /// these, so hash iteration order would leak into output.
+    /// Distinct destination IPs seen per TCP port: the handshaker's
+    /// counter, read only by `note_contact`.
     port_contacts: BTreeMap<u16, BTreeSet<Ipv4Addr>>,
     /// Ports where the handshaker has engaged.
     engaged_ports: BTreeSet<u16>,
@@ -249,11 +248,6 @@ impl Sandbox {
         self
     }
 
-    /// The sandbox configuration.
-    pub fn config(&self) -> &SandboxConfig {
-        &self.cfg
-    }
-
     fn install_egress_filter(&mut self) {
         if let AnalysisMode::Restricted { allowed } = &self.cfg.mode {
             let allowed: BTreeSet<Ipv4Addr> = allowed.iter().copied().collect();
@@ -327,15 +321,6 @@ impl Sandbox {
                 .add_service_host(dst, Box::new(InetSimHttp::new(vec![port, 8080])));
             self.spawned.insert(dst);
         }
-    }
-
-    /// Number of distinct addresses contacted per port so far, in port
-    /// order.
-    pub fn port_contact_counts(&self) -> BTreeMap<u16, usize> {
-        self.port_contacts
-            .iter()
-            .map(|(p, s)| (*p, s.len()))
-            .collect()
     }
 
     /// Execute an ELF for up to `duration` of virtual time and collect

@@ -1,24 +1,18 @@
-//! Candidate C2 endpoint extraction from `.rodata`.
+//! Candidate C2 endpoint extraction from the sample's embedded bytecode.
 //!
-//! Two independent passes:
+//! MalNet samples carry their behaviour as MNBC bytecode in `.rodata`.
+//! [`scan_bytecode`] runs a forward constant-propagation walk over the
+//! decoded records: it pairs every `Ldi`-materialized IP with the
+//! `Connect`/`SendTo` that uses it, recovers `(addr, port, proto)`
+//! triples, and classifies each as C2 check-in, DNS resolver, or P2P
+//! peer. Registers poisoned by `Rand` or network reads stay unknown,
+//! which is exactly why scan targets (`base | rand`) never show up as
+//! candidates. DNS-resolved C2s are recovered by parsing the DNS query
+//! message the sample embeds in its blob and tainting the answer
+//! register with the queried domain.
 //!
-//! * [`scan_rodata`] — the classic `strings(1)` sweep: printable runs,
-//!   dotted-quad IPv4 literals (loader/downloader URLs embedded in
-//!   exploit payloads), and domain-shaped tokens.
-//! * [`scan_bytecode`] — the high-precision pass. MalNet samples carry
-//!   their behaviour as MNBC bytecode in `.rodata`; a forward
-//!   constant-propagation walk over the decoded records pairs every
-//!   `Ldi`-materialized IP with the `Connect`/`SendTo` that uses it,
-//!   recovering `(addr, port, proto)` triples and classifying each as
-//!   C2 check-in, DNS resolver, or P2P peer. Registers poisoned by
-//!   `Rand` or network reads stay unknown, which is exactly why scan
-//!   targets (`base | rand`) never show up as candidates. DNS-resolved
-//!   C2s are recovered by parsing the DNS query message the sample
-//!   embeds in its blob and tainting the answer register with the
-//!   queried domain.
-//!
-//! Both passes are total and panic-free on malformed input: corrupt
-//! records are skipped (and counted), out-of-range offsets ignored.
+//! The walk is total and panic-free on malformed input: corrupt records
+//! are skipped (and counted), out-of-range offsets ignored.
 
 use std::net::Ipv4Addr;
 
@@ -37,17 +31,6 @@ pub enum Proto {
     Raw,
 }
 
-impl Proto {
-    /// Lowercase wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Proto::Tcp => "tcp",
-            Proto::Udp => "udp",
-            Proto::Raw => "raw",
-        }
-    }
-}
-
 /// What the sample uses the endpoint *for* (statically inferred).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Role {
@@ -57,36 +40,6 @@ pub enum Role {
     Resolver,
     /// P2P bootstrap peer (non-53 datagrams to a fixed address).
     Peer,
-}
-
-impl Role {
-    /// Lowercase wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Role::C2 => "c2",
-            Role::Resolver => "resolver",
-            Role::Peer => "peer",
-        }
-    }
-}
-
-/// Where the candidate was recovered from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Source {
-    /// MNBC bytecode constant propagation.
-    Bytecode,
-    /// Printable-string sweep.
-    Rodata,
-}
-
-impl Source {
-    /// Lowercase wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Source::Bytecode => "bytecode",
-            Source::Rodata => "rodata",
-        }
-    }
 }
 
 /// One statically recovered endpoint candidate.
@@ -103,93 +56,6 @@ pub struct Endpoint {
     pub role: Role,
     /// True when `addr` is a domain (DNS-resolved at runtime).
     pub dns: bool,
-    /// Recovery source.
-    pub source: Source,
-}
-
-/// Result of the printable-string sweep.
-#[derive(Debug, Clone, Default)]
-pub struct RodataScan {
-    /// Printable runs found (length ≥ 4).
-    pub strings: usize,
-    /// Distinct dotted-quad IPv4 literals, sorted.
-    pub ipv4: Vec<String>,
-    /// Distinct domain-shaped tokens, sorted.
-    pub domains: Vec<String>,
-}
-
-/// Sweep all non-executable segments for strings, IPv4 literals and
-/// domain tokens.
-pub fn scan_rodata(elf: &ElfFile) -> RodataScan {
-    let mut out = RodataScan::default();
-    let mut ipv4 = std::collections::BTreeSet::new();
-    let mut domains = std::collections::BTreeSet::new();
-    for seg in elf.segments.iter().filter(|s| !s.executable) {
-        let mut run = Vec::new();
-        for &b in seg.data.iter().chain(std::iter::once(&0u8)) {
-            if (0x20..0x7f).contains(&b) {
-                run.push(b);
-                continue;
-            }
-            if run.len() >= 4 {
-                out.strings += 1;
-                let s = String::from_utf8_lossy(&run).to_string();
-                for ip in find_ipv4_literals(&s) {
-                    ipv4.insert(ip);
-                }
-                for d in find_domains(&s) {
-                    domains.insert(d);
-                }
-            }
-            run.clear();
-        }
-    }
-    out.ipv4 = ipv4.into_iter().collect();
-    out.domains = domains.into_iter().collect();
-    out
-}
-
-/// Dotted-quad IPv4 literals inside a string (e.g. in an embedded
-/// `http://10.1.0.5/bins/mips` downloader URL).
-fn find_ipv4_literals(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for token in s.split(|c: char| !(c.is_ascii_digit() || c == '.')) {
-        let parts: Vec<&str> = token.split('.').collect();
-        if parts.len() != 4 {
-            continue;
-        }
-        let ok = parts.iter().all(|p| {
-            !p.is_empty() && p.len() <= 3 && p.parse::<u32>().map(|v| v <= 255).unwrap_or(false)
-        });
-        if ok {
-            out.push(token.to_string());
-        }
-    }
-    out
-}
-
-/// Domain-shaped tokens: ≥ 2 dot-separated labels, alphabetic TLD.
-fn find_domains(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for token in s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '.' || c == '-')) {
-        let t = token.trim_matches('.');
-        if t.len() < 4 || !t.contains('.') {
-            continue;
-        }
-        let labels: Vec<&str> = t.split('.').collect();
-        if labels.len() < 2 {
-            continue;
-        }
-        let shape_ok = labels
-            .iter()
-            .all(|l| !l.is_empty() && l.len() <= 63 && !l.starts_with('-') && !l.ends_with('-'));
-        let tld = labels.last().expect("non-empty split");
-        let tld_ok = tld.len() >= 2 && tld.chars().all(|c| c.is_ascii_alphabetic());
-        if shape_ok && tld_ok {
-            out.push(t.to_ascii_lowercase());
-        }
-    }
-    out
 }
 
 /// Result of the MNBC bytecode walk.
@@ -201,7 +67,8 @@ pub struct BytecodeScan {
     pub records: usize,
     /// Records that failed to decode (corrupted samples).
     pub skipped: usize,
-    /// Endpoints recovered by constant propagation.
+    /// Endpoints recovered by constant propagation, sorted and
+    /// deduplicated.
     pub endpoints: Vec<Endpoint>,
 }
 
@@ -349,7 +216,7 @@ fn scan_config(d: &[u8]) -> Option<BytecodeScan> {
                 };
                 let proto = sock_proto(&g(&regs, x.into())).unwrap_or(Proto::Tcp);
                 if let Some(port) = port {
-                    push_endpoint(&mut out.endpoints, g(&regs, y.into()), port, proto, None);
+                    push_endpoint(&mut out.endpoints, g(&regs, y.into()), port, proto);
                 }
                 set(&mut regs, r, Val::Unknown); // connect result
             }
@@ -370,18 +237,12 @@ fn scan_config(d: &[u8]) -> Option<BytecodeScan> {
                     }
                 }
                 if let Some(port) = port {
-                    push_endpoint(&mut out.endpoints, g(&regs, y.into()), port, proto, None);
+                    push_endpoint(&mut out.endpoints, g(&regs, y.into()), port, proto);
                 }
             }
             Op::SendToR { y, r, .. } => {
                 if let (Val::Const(p), ip) = (g(&regs, r.into()), g(&regs, y.into())) {
-                    push_endpoint(
-                        &mut out.endpoints,
-                        ip,
-                        (p & 0xffff) as u16,
-                        Proto::Udp,
-                        None,
-                    );
+                    push_endpoint(&mut out.endpoints, ip, (p & 0xffff) as u16, Proto::Udp);
                 }
             }
             // No register effects we track.
@@ -416,19 +277,20 @@ fn sock_proto(v: &Val) -> Option<Proto> {
     }
 }
 
-fn push_endpoint(out: &mut Vec<Endpoint>, ip: Val, port: u16, proto: Proto, role: Option<Role>) {
+fn push_endpoint(out: &mut Vec<Endpoint>, ip: Val, port: u16, proto: Proto) {
     let (addr, dns) = match ip {
         Val::Const(v) => (Ipv4Addr::from(v).to_string(), false),
         Val::Dns(d) => (d, true),
         _ => return, // unknowable destination (scan/flood targets)
     };
-    let role = role.unwrap_or(if port == 53 { Role::Resolver } else { Role::C2 });
     // Non-53 datagrams to a fixed peer are P2P bootstrap, not C2
     // check-ins (the dynamic pipeline's C2 detector skips them too).
-    let role = if role == Role::C2 && proto == Proto::Udp {
+    let role = if port == 53 {
+        Role::Resolver
+    } else if proto == Proto::Udp {
         Role::Peer
     } else {
-        role
+        Role::C2
     };
     out.push(Endpoint {
         addr,
@@ -436,7 +298,6 @@ fn push_endpoint(out: &mut Vec<Endpoint>, ip: Val, port: u16, proto: Proto, role
         proto,
         role,
         dns,
-        source: Source::Bytecode,
     });
 }
 
@@ -482,21 +343,6 @@ fn parse_dns_query_name(blob: &[u8], off: usize, len: usize) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ipv4_literal_extraction() {
-        assert_eq!(
-            find_ipv4_literals("GET http://10.1.0.5/bins/mips x 999.1.1.1 1.2.3"),
-            vec!["10.1.0.5".to_string()]
-        );
-    }
-
-    #[test]
-    fn domain_extraction() {
-        let ds = find_domains("wget cnc.Dark.example 1.2.3.4 ok -x- a.b");
-        assert!(ds.contains(&"cnc.dark.example".to_string()));
-        assert!(!ds.iter().any(|d| d == "1.2.3.4"));
-    }
 
     #[test]
     fn dns_query_name_parses() {

@@ -13,17 +13,15 @@
 //!    `.text` (via `malnet-mips`'s structured decoder) with
 //!    syscall-reachability: which `socket`/`connect`/`send` syscalls are
 //!    reachable from the entry point ([`cfg`]);
-//! 3. *who does it talk to?* — candidate C2 endpoints from `.rodata`
-//!    (strings, IPv4 literals, domains) and from
-//!    immediate-materialization idioms: `lui`/`ori` constant
-//!    propagation, sockaddr-shaped store sequences, and forward constant
-//!    propagation through the sample's embedded MNBC bytecode
-//!    ([`extract`]);
-//! 4. a versioned `malnet.static_report` v1 JSON artifact ([`report`]).
+//! 3. *who does it talk to?* — candidate C2 endpoints from forward
+//!    constant propagation through the sample's embedded MNBC bytecode
+//!    ([`extract`]).
 //!
-//! The pipeline runs [`analyze`] as its phase-0 triage stage; `core::eval`
+//! The pipeline runs [`analyze`] as its phase-0 triage stage and keeps
+//! the answers as one D-Triage row per binary; `core::eval`
 //! cross-validates the static candidates against the dynamically
-//! discovered D-C2s dataset.
+//! discovered D-C2s dataset, and `static_xval` writes that score as the
+//! aggregate `malnet.static_report` ([`report`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +31,7 @@ pub mod extract;
 pub mod lint;
 pub mod report;
 
-pub use extract::{Endpoint, Proto, Role, Source};
+pub use extract::{Endpoint, Proto, Role};
 pub use lint::Lint;
 pub use report::{StaticReport, SCHEMA, VERSION};
 
@@ -56,22 +54,14 @@ pub fn analyze(elf_bytes: &[u8]) -> StaticReport {
         .find(|s| s.executable)
         .map(|s| cfg::analyze_text(&s.data, s.vaddr, elf.entry))
         .unwrap_or_default();
-    let rodata = extract::scan_rodata(&elf);
     let bytecode = extract::scan_bytecode(&elf);
-    let mut endpoints = bytecode.endpoints.clone();
-    endpoints.sort();
-    endpoints.dedup();
     StaticReport {
         valid_elf: true,
         lints,
-        entry: elf.entry,
         text,
-        strings: rodata.strings,
-        string_ipv4: rodata.ipv4,
-        string_domains: rodata.domains,
         bytecode_records: bytecode.records,
         bytecode_skipped: bytecode.skipped,
-        endpoints,
+        endpoints: bytecode.endpoints,
     }
 }
 
@@ -105,6 +95,12 @@ mod tests {
         assert!(r
             .c2_candidates()
             .any(|e| e.addr == "185.10.20.30" && e.port == 23));
+        // The walk hands back its endpoints sorted and deduplicated.
+        assert!(
+            r.endpoints.windows(2).all(|w| w[0] < w[1]),
+            "{:?}",
+            r.endpoints
+        );
     }
 
     #[test]
@@ -166,21 +162,5 @@ mod tests {
             bad[i] ^= 0x55;
         }
         let _ = analyze(&bad);
-    }
-
-    #[test]
-    fn report_json_parses_and_carries_schema() {
-        let r = analyze(&build(&BehaviorSpec {
-            c2: vec![(C2Endpoint::Ip(Ipv4Addr::new(1, 2, 3, 4)), 23)],
-            ..BehaviorSpec::default()
-        }));
-        let v = malnet_telemetry::json::parse(&r.to_json()).expect("valid json");
-        assert_eq!(
-            v.get("schema").and_then(|s| s.as_str()),
-            Some("malnet.static_report")
-        );
-        assert_eq!(v.get("version").and_then(|n| n.as_u64()), Some(1));
-        let eps = v.get("endpoints").and_then(|a| a.as_array()).unwrap();
-        assert!(!eps.is_empty());
     }
 }

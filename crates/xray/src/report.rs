@@ -1,16 +1,17 @@
-//! The versioned `malnet.static_report` JSON artifact.
+//! What the static pass learned about one binary, and the schema tag of
+//! the aggregate `results/static_report.json`.
 //!
-//! Serialization is hand-rolled (no external deps, like
-//! `malnet-telemetry`'s report writer) and round-trips through
-//! `malnet_telemetry::json::parse`. Consumers must check `schema` and
-//! `version` before interpreting fields; additive changes bump
-//! [`VERSION`].
+//! The pipeline folds each [`StaticReport`] into a D-Triage row;
+//! `static_xval` scores those rows against the dynamic observations and
+//! writes the aggregate under [`SCHEMA`] v[`VERSION`]. [`json_escape`]
+//! is the string escaper that writer and the study's other hand-rolled
+//! JSON writers share (no external deps).
 
 use crate::cfg::TextAnalysis;
 use crate::extract::{Endpoint, Role};
 use crate::lint::Lint;
 
-/// Schema identifier embedded in every report.
+/// Schema identifier of the aggregate static report.
 pub const SCHEMA: &str = "malnet.static_report";
 /// Current schema version.
 pub const VERSION: u64 = 1;
@@ -22,16 +23,8 @@ pub struct StaticReport {
     pub valid_elf: bool,
     /// Structural findings (empty for a clean file).
     pub lints: Vec<Lint>,
-    /// Entry point vaddr (0 when unparseable).
-    pub entry: u32,
     /// `.text` CFG / syscall-reachability analysis.
     pub text: TextAnalysis,
-    /// Printable runs found in read-only data.
-    pub strings: usize,
-    /// Dotted-quad literals from the string sweep.
-    pub string_ipv4: Vec<String>,
-    /// Domain-shaped tokens from the string sweep.
-    pub string_domains: Vec<String>,
     /// MNBC bytecode records decoded.
     pub bytecode_records: usize,
     /// MNBC bytecode records skipped as undecodable.
@@ -46,87 +39,6 @@ impl StaticReport {
     pub fn c2_candidates(&self) -> impl Iterator<Item = &Endpoint> {
         self.endpoints.iter().filter(|e| e.role == Role::C2)
     }
-
-    /// Serialize to schema-versioned JSON.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str(&format!(
-            "{{\"schema\":\"{SCHEMA}\",\"version\":{VERSION},\"valid_elf\":{},\"entry\":{},",
-            self.valid_elf, self.entry
-        ));
-        s.push_str("\"lints\":[");
-        for (i, l) in self.lints.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"code\":\"{}\",\"message\":\"{}\"}}",
-                json_escape(l.code),
-                json_escape(&l.message)
-            ));
-        }
-        s.push_str("],");
-        let t = &self.text;
-        s.push_str(&format!(
-            "\"text\":{{\"instructions\":{},\"unknown_words\":{},\"blocks\":{},\"edges\":{},\
-             \"reachable_blocks\":{},\"reachable_instructions\":{},\"syscalls\":[{}],\
-             \"unknown_syscall_sites\":{},\"materialized_consts\":{},\"sockaddr_sites\":{},\
-             \"net_capable\":{}}},",
-            t.instructions,
-            t.unknown_words,
-            t.blocks,
-            t.edges,
-            t.reachable_blocks,
-            t.reachable_instructions,
-            t.syscalls
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            t.unknown_syscall_sites,
-            t.materialized_consts,
-            t.sockaddr_sites,
-            t.net_capable()
-        ));
-        s.push_str(&format!("\"strings\":{},", self.strings));
-        s.push_str(&format!(
-            "\"string_ipv4\":[{}],",
-            join_strings(&self.string_ipv4)
-        ));
-        s.push_str(&format!(
-            "\"string_domains\":[{}],",
-            join_strings(&self.string_domains)
-        ));
-        s.push_str(&format!(
-            "\"bytecode\":{{\"records\":{},\"skipped\":{}}},",
-            self.bytecode_records, self.bytecode_skipped
-        ));
-        s.push_str("\"endpoints\":[");
-        for (i, e) in self.endpoints.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"addr\":\"{}\",\"port\":{},\"proto\":\"{}\",\"role\":\"{}\",\
-                 \"dns\":{},\"source\":\"{}\"}}",
-                json_escape(&e.addr),
-                e.port,
-                e.proto.as_str(),
-                e.role.as_str(),
-                e.dns,
-                e.source.as_str()
-            ));
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
-fn join_strings(v: &[String]) -> String {
-    v.iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes).
@@ -149,53 +61,13 @@ pub fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extract::{Proto, Source};
-
-    #[test]
-    fn empty_report_is_valid_json() {
-        let v = malnet_telemetry::json::parse(&StaticReport::default().to_json()).unwrap();
-        assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some(SCHEMA));
-        assert_eq!(v.get("version").and_then(|n| n.as_u64()), Some(VERSION));
-        assert_eq!(v.get("valid_elf").and_then(|b| b.as_bool()), Some(false));
-    }
-
-    #[test]
-    fn endpoints_serialize_with_all_fields() {
-        let r = StaticReport {
-            valid_elf: true,
-            endpoints: vec![Endpoint {
-                addr: "1.2.3.4".into(),
-                port: 23,
-                proto: Proto::Tcp,
-                role: Role::C2,
-                dns: false,
-                source: Source::Bytecode,
-            }],
-            ..StaticReport::default()
-        };
-        let v = malnet_telemetry::json::parse(&r.to_json()).unwrap();
-        let eps = v.get("endpoints").and_then(|a| a.as_array()).unwrap();
-        assert_eq!(eps.len(), 1);
-        assert_eq!(eps[0].get("addr").and_then(|s| s.as_str()), Some("1.2.3.4"));
-        assert_eq!(eps[0].get("port").and_then(|n| n.as_u64()), Some(23));
-        assert_eq!(eps[0].get("proto").and_then(|s| s.as_str()), Some("tcp"));
-        assert_eq!(eps[0].get("role").and_then(|s| s.as_str()), Some("c2"));
-    }
 
     #[test]
     fn escaping_survives_hostile_lint_messages() {
-        let r = StaticReport {
-            lints: vec![Lint {
-                code: "elf.parse",
-                message: "bad \"quote\"\\\n\u{1}".into(),
-            }],
-            ..StaticReport::default()
-        };
-        let v = malnet_telemetry::json::parse(&r.to_json()).unwrap();
-        let lints = v.get("lints").and_then(|a| a.as_array()).unwrap();
-        assert_eq!(
-            lints[0].get("message").and_then(|s| s.as_str()),
-            Some("bad \"quote\"\\\n\u{1}")
-        );
+        let hostile = "bad \"quote\"\\\n\r\t\u{1}";
+        let escaped = json_escape(hostile);
+        assert_eq!(escaped, r#"bad \"quote\"\\\n\r\t\u0001"#);
+        let v = malnet_telemetry::json::parse(&format!("\"{escaped}\"")).unwrap();
+        assert_eq!(v.as_str(), Some(hostile));
     }
 }

@@ -73,9 +73,9 @@ fn main() {
     }
 
     // --- family labels --------------------------------------------------------
+    let yara = yara_label(&elf_bytes);
     println!(
-        "\nYARA label: {:?}; AVClass2 label: {:?}",
-        yara_label(&elf_bytes),
-        avclass2_label(&elf_bytes)
+        "\nYARA label: {yara:?}; AVClass2 label: {:?}",
+        avclass2_label(yara)
     );
 }
