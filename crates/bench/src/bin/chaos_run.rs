@@ -1,23 +1,28 @@
 //! Run the pipeline under the standard chaos fault plan, write the
 //! graceful-degradation health report to `results/health_report.json`
-//! (`malnet.health_report` v1, documented in EXPERIMENTS.md), and
-//! verify it: the report must parse, at least one injected failure must
+//! (`malnet.health_report` v1, documented in EXPERIMENTS.md) through
+//! [`write_artifact`], and check it: at least one injected failure must
 //! have been quarantined into D-Health, and the study must still have
-//! produced data. CI runs this on every push and uploads the artifact;
-//! a chaos run that aborts — or that degrades *silently* — fails the
-//! build.
+//! produced data. The run's event stream goes to
+//! `results/events_chaos.jsonl`. CI runs this on every push and uploads
+//! both; a chaos run that aborts — or that degrades *silently* — exits
+//! 1 and fails the build.
 //!
 //! Usage:
 //! `cargo run -p malnet-bench --release --bin chaos_run -- [--samples N] [--seed S] [--fault-seed N]`
 
 use std::fmt::Write as _;
 
-use malnet_bench::parse_chaos_args;
+use malnet_bench::{exit_on_failures, parse_chaos_args, write_artifact};
 use malnet_botgen::world::{Calibration, World, WorldConfig};
 use malnet_core::chaos::FaultPlan;
 use malnet_core::{Pipeline, PipelineOpts};
 use malnet_telemetry::{json, Telemetry};
 use malnet_xray::report::json_escape;
+
+/// Schema identifier and version of the health report.
+const SCHEMA: &str = "malnet.health_report";
+const VERSION: u64 = 1;
 
 /// Default fault seed of the CI chaos run (fixed: the injected faults —
 /// and therefore the report — are byte-reproducible). Override with
@@ -117,7 +122,7 @@ fn main() {
 
     // --- assemble malnet.health_report v1 ---
     let mut out = String::new();
-    out.push_str("{\"schema\":\"malnet.health_report\",\"version\":1,");
+    let _ = write!(out, "{{\"schema\":\"{SCHEMA}\",\"version\":{VERSION},");
     let _ = write!(
         out,
         "\"samples\":{},\"seed\":{},\"fault_seed\":{fault_seed},",
@@ -166,50 +171,51 @@ fn main() {
     }
     out.push_str("}}");
 
-    let path = std::path::Path::new("results/health_report.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, &out).expect("write health report");
-    println!("wrote {} ({} bytes)", path.display(), out.len());
-
-    // --- verification: re-read from disk, parse, check degradation ---
-    let reread = std::fs::read_to_string(path).expect("re-read health report");
-    let v = match json::parse(&reread) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("FAIL: health report is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-    };
+    // --- write, re-read and check the degradation ---
     let mut failures = Vec::new();
-    if v.get("schema").and_then(|s| s.as_str()) != Some("malnet.health_report") {
-        failures.push("schema field missing or wrong".to_string());
-    }
-    if v.get("version").and_then(|n| n.as_u64()) != Some(1) {
-        failures.push("version field missing or wrong".to_string());
-    }
-    let quarantined = v.get("quarantined").and_then(|n| n.as_u64()).unwrap_or(0);
-    if quarantined == 0 {
-        failures.push("chaos run quarantined no samples (injection inert?)".to_string());
-    }
-    let profiled = v.get("profiled").and_then(|n| n.as_u64()).unwrap_or(0);
-    if profiled == 0 {
-        failures.push("chaos run profiled no samples (study degraded to nothing)".to_string());
-    }
-    let rows = v
-        .get("rows")
-        .and_then(|a| a.as_array())
-        .map(<[_]>::len)
-        .unwrap_or(0);
-    if rows != data.health.rows.len() {
-        failures.push(format!(
-            "rows round-trip mismatch: wrote {}, re-read {rows}",
-            data.health.rows.len()
-        ));
-    }
-    if v.get("exit_counts").and_then(|o| o.get("exited")).is_none() {
-        failures.push("exit_counts lost the healthy-exit tally".to_string());
+    let path = std::path::Path::new("results/health_report.json");
+    match write_artifact(path, &out, SCHEMA, VERSION) {
+        Err(e) => failures.push(e),
+        Ok(v) => {
+            if v.get("quarantined").and_then(|n| n.as_u64()).unwrap_or(0) == 0 {
+                failures.push("chaos run quarantined no samples (injection inert?)".to_string());
+            }
+            if v.get("profiled").and_then(|n| n.as_u64()).unwrap_or(0) == 0 {
+                failures
+                    .push("chaos run profiled no samples (study degraded to nothing)".to_string());
+            }
+            let rows = v
+                .get("rows")
+                .and_then(|a| a.as_array())
+                .map(<[_]>::len)
+                .unwrap_or(0);
+            if rows != data.health.rows.len() {
+                failures.push(format!(
+                    "rows round-trip mismatch: wrote {}, re-read {rows}",
+                    data.health.rows.len()
+                ));
+            }
+            if v.get("exit_counts").and_then(|o| o.get("exited")).is_none() {
+                failures.push("exit_counts lost the healthy-exit tally".to_string());
+            }
+            let echoed_seed = v
+                .get("fault_plan")
+                .and_then(|p| p.get("fault_seed"))
+                .and_then(|n| n.as_u64());
+            if echoed_seed != Some(fault_seed) {
+                failures.push(format!(
+                    "fault_plan echo lost the seed: wrote {fault_seed}, re-read {echoed_seed:?}"
+                ));
+            }
+            if v.get("fault_plan")
+                .and_then(|p| p.get("emu_short_rate"))
+                .and_then(json::Value::as_f64)
+                .unwrap_or(0.0)
+                <= 0.0
+            {
+                failures.push("fault_plan echo lost the emulator rates".to_string());
+            }
+        }
     }
     for name in [
         "chaos.forced_panics",
@@ -220,31 +226,11 @@ fn main() {
             failures.push(format!("fault counter {name:?} is zero — injection inert"));
         }
     }
-    let echoed_seed = v
-        .get("fault_plan")
-        .and_then(|p| p.get("fault_seed"))
-        .and_then(|n| n.as_u64());
-    if echoed_seed != Some(fault_seed) {
-        failures.push(format!(
-            "fault_plan echo lost the seed: wrote {fault_seed}, re-read {echoed_seed:?}"
-        ));
-    }
-    if v.get("fault_plan")
-        .and_then(|p| p.get("emu_short_rate"))
-        .and_then(json::Value::as_f64)
-        .unwrap_or(0.0)
-        <= 0.0
-    {
-        failures.push("fault_plan echo lost the emulator rates".to_string());
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
     println!(
-        "health report OK: {quarantined} quarantined, {rows} degradation rows, {} exit classes",
+        "health report OK: {} quarantined, {} degradation rows, {} exit classes",
+        data.health.quarantined(),
+        data.health.rows.len(),
         data.health.exit_counts.len()
     );
     for r in &data.health.rows {

@@ -2,9 +2,10 @@
 //! fault-intensity grid of emulator-only fault plans
 //! ([`FaultPlan::emu_sweep`]) over the fast study, score every cell
 //! against ground truth (C2 recall/precision, C2-lifetime error,
-//! activation rate via `malnet_core::eval`), and write a self-validating
+//! activation rate via `malnet_core::eval`), and write the
 //! `malnet.chaos_sweep` v1 artifact to `results/chaos_sweep.json`
-//! (documented in EXPERIMENTS.md).
+//! (documented in EXPERIMENTS.md) through [`write_artifact`], which
+//! re-reads it before this binary checks the grid.
 //!
 //! Two hard gates, both enforced here (CI runs this on every push):
 //!
@@ -26,7 +27,7 @@
 
 use std::fmt::Write as _;
 
-use malnet_bench::parse_chaos_args;
+use malnet_bench::{exit_on_failures, parse_chaos_args, write_artifact};
 use malnet_botgen::world::{Calibration, World, WorldConfig};
 use malnet_core::chaos::FaultPlan;
 use malnet_core::datasets::HealthKind;
@@ -34,6 +35,10 @@ use malnet_core::eval::{c2_lifetime_error, evaluate};
 use malnet_core::{Datasets, Pipeline, PipelineOpts};
 use malnet_prng::fnv1a;
 use malnet_telemetry::{json, EventSink, Field};
+
+/// Schema identifier and version of the sweep artifact.
+const SCHEMA: &str = "malnet.chaos_sweep";
+const VERSION: u64 = 1;
 
 /// Default first fault seed of the sweep (`--fault-seed` overrides);
 /// the second seed is derived so the grid always has two rows.
@@ -219,7 +224,7 @@ fn main() {
 
     // --- assemble malnet.chaos_sweep v1 ---
     let mut out = String::new();
-    out.push_str("{\"schema\":\"malnet.chaos_sweep\",\"version\":1,");
+    let _ = write!(out, "{{\"schema\":\"{SCHEMA}\",\"version\":{VERSION},");
     let _ = write!(
         out,
         "\"samples\":{},\"seed\":{},\"fault_seeds\":[{},{}],",
@@ -269,24 +274,12 @@ fn main() {
         );
     }
     out.push_str("]}");
-    let path = std::path::Path::new("results/chaos_sweep.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, &out).expect("write chaos sweep artifact");
-    println!("wrote {} ({} bytes)", path.display(), out.len());
 
     // --- self-validation: artifact ---
-    let reread = std::fs::read_to_string(path).expect("re-read chaos sweep artifact");
-    match json::parse(&reread) {
-        Err(e) => failures.push(format!("artifact is not valid JSON: {e}")),
+    let path = std::path::Path::new("results/chaos_sweep.json");
+    match write_artifact(path, &out, SCHEMA, VERSION) {
+        Err(e) => failures.push(e),
         Ok(v) => {
-            if v.get("schema").and_then(|s| s.as_str()) != Some("malnet.chaos_sweep") {
-                failures.push("schema field missing or wrong".to_string());
-            }
-            if v.get("version").and_then(|n| n.as_u64()) != Some(1) {
-                failures.push("version field missing or wrong".to_string());
-            }
             let seeds = v
                 .get("fault_seeds")
                 .and_then(|a| a.as_array())
@@ -349,12 +342,7 @@ fn main() {
         }
     }
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
 
     // --- the frontier, charted ---
     println!("\ndegradation frontier (seed-averaged):");

@@ -6,13 +6,17 @@
 //! seed-domain discipline, stale suppressions — see `crates/lint` and
 //! DESIGN.md §static analysis) runs over every `.rs` file, writes the
 //! versioned `malnet.lint_report` v1 artifact to
-//! `results/lint_report.json`, self-validates the written JSON, and
-//! exits non-zero listing every violation.
+//! `results/lint_report.json` through [`write_artifact`], checks that
+//! the written report says what this process observed, and exits 1
+//! listing every violation.
 //!
 //! Usage: `cargo run -p malnet-bench --bin lint_report` from the
 //! workspace root.
 
 use std::path::Path;
+
+use malnet_bench::{exit_on_failures, write_artifact};
+use malnet_lint::report::{SCHEMA, VERSION};
 
 fn main() {
     let root = std::env::current_dir().expect("cwd");
@@ -25,52 +29,30 @@ fn main() {
         std::process::exit(1);
     }
 
-    let json = lint.to_json();
+    // A report that cannot be read back, or that says something other
+    // than what this process observed, is worse than no report:
+    // downstream tooling would trust it.
+    let mut failures = Vec::new();
     let out_path = Path::new("results/lint_report.json");
-    if let Some(dir) = out_path.parent() {
-        std::fs::create_dir_all(dir).expect("create results/");
+    match write_artifact(out_path, &lint.to_json(), SCHEMA, u64::from(VERSION)) {
+        Err(e) => failures.push(e),
+        Ok(v) => {
+            let len = |k: &str| v.get(k).and_then(|x| x.as_array()).map(<[_]>::len);
+            if v.get("files_scanned").and_then(|x| x.as_u64()) != Some(lint.files_scanned as u64) {
+                failures.push("files_scanned mismatch".to_string());
+            }
+            if len("violations") != Some(lint.findings.len()) {
+                failures.push("violations mismatch".to_string());
+            }
+            if v.get("clean").and_then(|x| x.as_bool()) != Some(lint.clean()) {
+                failures.push("clean flag mismatch".to_string());
+            }
+            if len("seed_domains") != Some(lint.domains.len()) {
+                failures.push("seed_domains mismatch".to_string());
+            }
+        }
     }
-    std::fs::write(out_path, &json).expect("write lint report");
-
-    // Self-validate the artifact: re-read, parse, and check that the
-    // written report says exactly what this process observed. A report
-    // that cannot be parsed back is worse than no report — downstream
-    // tooling would trust it.
-    let readback = std::fs::read_to_string(out_path).expect("read back lint report");
-    let v = malnet_telemetry::json::parse(&readback)
-        .unwrap_or_else(|e| panic!("lint report does not parse: {e}"));
-    let field_str = |k: &str| v.get(k).and_then(|x| x.as_str()).map(str::to_string);
-    let field_u64 = |k: &str| v.get(k).and_then(|x| x.as_u64());
-    assert_eq!(
-        field_str("schema").as_deref(),
-        Some(malnet_lint::report::SCHEMA),
-        "bad schema field"
-    );
-    assert_eq!(
-        field_u64("version"),
-        Some(u64::from(malnet_lint::report::VERSION)),
-        "bad version field"
-    );
-    assert_eq!(
-        field_u64("files_scanned"),
-        Some(lint.files_scanned as u64),
-        "files_scanned mismatch"
-    );
-    let violations = v
-        .get("violations")
-        .and_then(|x| x.as_array())
-        .expect("violations array");
-    assert_eq!(violations.len(), lint.findings.len(), "violations mismatch");
-    assert_eq!(
-        v.get("clean").and_then(|x| x.as_bool()),
-        Some(lint.clean()),
-        "clean flag mismatch"
-    );
-    let domains = v
-        .get("seed_domains")
-        .and_then(|x| x.as_array())
-        .expect("seed_domains array");
-    assert_eq!(domains.len(), lint.domains.len(), "seed_domains mismatch");
+    exit_on_failures(&failures);
 
     if lint.clean() {
         println!(

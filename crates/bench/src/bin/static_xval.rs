@@ -4,19 +4,19 @@
 //! against the dynamically observed per-sample C2 addresses
 //! (`malnet_core::eval::static_cross_validation`), writes
 //! `results/static_report.json` (schema `malnet.static_report` v1:
-//! per-family precision/recall plus overall), then re-reads and
-//! validates the artifact. Exits non-zero if the static pass recovered
-//! < 90% of the hardcoded-IP C2s the sandbox observed — the acceptance
-//! bar for endpoint extraction "without executing an instruction".
+//! per-family precision/recall plus overall) through [`write_artifact`],
+//! and checks it. Exits 1 if the artifact does not read back, or if the
+//! static pass recovered < 90% of the hardcoded-IP C2s the sandbox
+//! observed — the acceptance bar for endpoint extraction "without
+//! executing an instruction".
 //!
 //! Usage:
 //! `cargo run -p malnet-bench --release --bin static_xval -- [--samples N] [--seed S]`
 
-use malnet_bench::parse_args;
+use malnet_bench::{exit_on_failures, parse_args, write_artifact};
 use malnet_botgen::world::{Calibration, World, WorldConfig};
 use malnet_core::eval::{static_cross_validation, XvalScore};
 use malnet_core::{Pipeline, PipelineOpts};
-use malnet_telemetry::json;
 use malnet_xray::report::json_escape;
 
 /// Minimum acceptable recall of hardcoded-IP C2s (percent).
@@ -84,34 +84,18 @@ fn main() {
     out.push_str(&score_json(&xval.overall));
     out.push('}');
 
-    let path = std::path::Path::new("results/static_report.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(path, &out).expect("write static report");
-    println!("wrote {} ({} bytes)", path.display(), out.len());
-
-    // --- verification: re-read, parse, enforce the recall bar ---
-    let reread = std::fs::read_to_string(path).expect("re-read static report");
-    let v = match json::parse(&reread) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("FAIL: static report is not valid JSON: {e}");
-            std::process::exit(1);
-        }
-    };
     let mut failures = Vec::new();
-    if v.get("schema").and_then(|s| s.as_str()) != Some(malnet_xray::SCHEMA) {
-        failures.push("schema field missing or wrong".to_string());
-    }
-    if v.get("version").and_then(|n| n.as_u64()) != Some(malnet_xray::VERSION) {
-        failures.push("version field missing or wrong".to_string());
-    }
-    if v.get("per_family")
-        .and_then(|a| a.as_array())
-        .is_none_or(<[_]>::is_empty)
-    {
-        failures.push("per_family missing or empty".to_string());
+    let path = std::path::Path::new("results/static_report.json");
+    match write_artifact(path, &out, malnet_xray::SCHEMA, malnet_xray::VERSION) {
+        Err(e) => failures.push(e),
+        Ok(v) => {
+            if v.get("per_family")
+                .and_then(|a| a.as_array())
+                .is_none_or(<[_]>::is_empty)
+            {
+                failures.push("per_family missing or empty".to_string());
+            }
+        }
     }
     let overall = &xval.overall;
     if overall.samples == 0 || overall.dynamic_ips == 0 {
@@ -126,12 +110,7 @@ fn main() {
             overall.dynamic_ips
         ));
     }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_failures(&failures);
     println!(
         "static xval OK: ip-recall {:.1}% (bar {IP_RECALL_BAR}%), precision {:.1}%, recall {:.1}%",
         overall.ip_recall(),

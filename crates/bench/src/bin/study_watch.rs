@@ -13,21 +13,22 @@
 //!   bench crate is `lint_report`'s clock-exempt zone). The tail is
 //!   **stateful** ([`StreamTail`]): each tick reads only the bytes
 //!   appended since the last one and folds them incrementally, so a
-//!   long study costs O(stream) total instead of the old
-//!   re-read-and-refold-everything O(stream²). A torn trailing line
+//!   long study costs O(stream) in total. A torn trailing line
 //!   (observed between the sink's write and flush) is carried, not
 //!   folded, until its newline arrives; a shrinking file (truncation /
 //!   rotation) resets the tail and starts over.
 //! * **`--validate`**: strict mode for CI — the stream must be complete
-//!   and well-formed ([`validate_stream`]), and, when a final report is
-//!   present (`--report`, default `results/run_report.json`), folding
-//!   the stream must reconstruct the report's counters and rollup rows
-//!   exactly ([`fold_matches_report`]). Exit code 1 on any violation.
-//!   `--stream-only` skips the report cross-check for runs that don't
-//!   write a `malnet.run_report` artifact (e.g. the chaos job).
+//!   and well-formed ([`validate_stream`]). With `--report PATH`,
+//!   folding the stream must also reconstruct that report's counters
+//!   and rollup rows exactly ([`fold_matches_report`]); a report that
+//!   cannot be read is a failure.
+//!
+//! Both watching modes fold with the validator's checks: a stream that
+//! breaks one prints the violation and exits 1. `--validate` exits 1 on
+//! any violation; a usage error exits 2.
 //!
 //! Usage:
-//! `study_watch [--events PATH] [--report PATH] [--validate] [--stream-only] [--follow]`
+//! `study_watch [--events PATH] [--validate [--report PATH]] [--follow]`
 
 use std::io::{Read, Seek, SeekFrom};
 
@@ -36,9 +37,8 @@ use malnet_telemetry::RunReport;
 
 struct Args {
     events: String,
-    report: String,
+    report: Option<String>,
     validate: bool,
-    stream_only: bool,
     follow: bool,
 }
 
@@ -46,8 +46,7 @@ struct Args {
 fn usage_error(error: &str) -> ! {
     eprintln!(
         "{error}\n\
-         usage: study_watch [--events PATH] [--report PATH] [--validate] \
-         [--stream-only] [--follow]"
+         usage: study_watch [--events PATH] [--validate [--report PATH]] [--follow]"
     );
     std::process::exit(2)
 }
@@ -55,9 +54,8 @@ fn usage_error(error: &str) -> ! {
 fn parse_args() -> Args {
     let mut args = Args {
         events: "results/events.jsonl".to_string(),
-        report: "results/run_report.json".to_string(),
+        report: None,
         validate: false,
-        stream_only: false,
         follow: false,
     };
     let mut it = std::env::args().skip(1);
@@ -68,9 +66,8 @@ fn parse_args() -> Args {
         };
         match arg.as_str() {
             "--events" => args.events = path(),
-            "--report" => args.report = path(),
+            "--report" => args.report = Some(path()),
             "--validate" => args.validate = true,
-            "--stream-only" => args.stream_only = true,
             "--follow" => args.follow = true,
             other => usage_error(&format!("unknown argument {other:?}")),
         }
@@ -150,59 +147,49 @@ fn tail_step(path: &str, tail: &mut StreamTail, offset: u64) -> u64 {
     offset + n as u64
 }
 
+/// Print `msg` as a failure and exit 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("FAIL: {msg}");
+    std::process::exit(1)
+}
+
+/// Render the tail, and fail on the violation that stopped it, if any.
+fn render_tail(tail: &StreamTail, events: &str) {
+    render(tail.summary(), tail.is_complete());
+    if let Some(e) = tail.error() {
+        fail(&format!(
+            "{events} is not a valid malnet.events stream: {e}"
+        ));
+    }
+}
+
 fn main() {
     let args = parse_args();
     if args.validate {
-        let text = match std::fs::read_to_string(&args.events) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("FAIL: cannot read {}: {e}", args.events);
-                std::process::exit(1);
-            }
-        };
-        let summary = match validate_stream(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!(
-                    "FAIL: {} is not a valid malnet.events stream: {e}",
-                    args.events
-                );
-                std::process::exit(1);
-            }
-        };
+        let text = std::fs::read_to_string(&args.events)
+            .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", args.events)));
+        let summary = validate_stream(&text).unwrap_or_else(|e| {
+            fail(&format!(
+                "{} is not a valid malnet.events stream: {e}",
+                args.events
+            ))
+        });
         render(&summary, true);
-        if args.stream_only {
+        if let Some(path) = &args.report {
+            let report = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {path}: {e}"))
+                .and_then(|text| {
+                    RunReport::from_json(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+                })
+                .unwrap_or_else(|e| fail(&e));
+            if let Err(e) = fold_matches_report(&summary, &report) {
+                fail(&e);
+            }
             println!(
-                "stream OK: {} ({} events, report cross-check skipped)",
-                args.events, summary.events
+                "fold OK: stream reconstructs {} counter(s) and {} rollup row(s) of {path}",
+                summary.final_counters.len(),
+                summary.rollups.len(),
             );
-            return;
-        }
-        match std::fs::read_to_string(&args.report) {
-            Ok(report_text) => {
-                let report = match RunReport::from_json(&report_text) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("FAIL: cannot parse {}: {e}", args.report);
-                        std::process::exit(1);
-                    }
-                };
-                if let Err(e) = fold_matches_report(&summary, &report) {
-                    eprintln!("FAIL: {e}");
-                    std::process::exit(1);
-                }
-                println!(
-                    "fold OK: stream reconstructs {} counter(s) and {} rollup row(s) of {}",
-                    summary.final_counters.len(),
-                    summary.rollups.len(),
-                    args.report
-                );
-            }
-            Err(_) => {
-                // No report alongside the stream (e.g. the chaos job):
-                // well-formedness alone is the contract.
-                println!("no report at {} — validated stream only", args.report);
-            }
         }
         println!("stream OK: {} ({} events)", args.events, summary.events);
         return;
@@ -217,7 +204,7 @@ fn main() {
         let mut offset = 0u64;
         loop {
             offset = tail_step(&args.events, &mut tail, offset);
-            render(tail.summary(), tail.is_complete());
+            render_tail(&tail, &args.events);
             if tail.is_complete() {
                 return;
             }
@@ -225,15 +212,10 @@ fn main() {
         }
     }
 
-    let text = match std::fs::read_to_string(&args.events) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", args.events);
-            std::process::exit(1);
-        }
-    };
+    let text = std::fs::read_to_string(&args.events)
+        .unwrap_or_else(|e| fail(&format!("cannot read {}: {e}", args.events)));
     let mut tail = StreamTail::new();
     tail.push(&text);
     tail.flush_partial();
-    render(tail.summary(), tail.is_complete());
+    render_tail(&tail, &args.events);
 }

@@ -6,8 +6,9 @@
 //! (the names and renderers are [`render::ARTEFACTS`]). The
 //! `ablations` binary sweeps the design knobs DESIGN.md calls out; the
 //! `run_report`, `chaos_run`, `chaos_sweep`, `static_xval` and
-//! `lint_report` binaries write and self-validate the `results/`
-//! artifacts, and `study_watch` follows or validates an event stream.
+//! `lint_report` binaries write their `results/` artifacts through
+//! [`write_artifact`] and then check their own content, and
+//! `study_watch` follows or validates an event stream.
 //! The study benchmark (`benchmark/`) measures performance end to end;
 //! `tests/perf_gates.rs` keeps two component costs gated.
 //!
@@ -22,9 +23,12 @@
 
 pub mod render;
 
+use std::path::Path;
+
 use malnet_botgen::world::{Calibration, World, WorldConfig};
 use malnet_core::{Datasets, Pipeline, PipelineOpts};
 use malnet_intel::VendorDb;
+use malnet_telemetry::json::{self, Value};
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone)]
@@ -144,9 +148,65 @@ pub fn run_study(opts: &RunOpts) -> (World, Datasets, VendorDb) {
     (world, data, vendors)
 }
 
+/// Write a versioned JSON artifact and check it as read back: create
+/// the directory, write `text` to `path`, re-read and parse the file,
+/// and require its `schema` and `version` fields. Returns the parsed
+/// document for the binary's own content checks.
+pub fn write_artifact(
+    path: &Path,
+    text: &str,
+    schema: &str,
+    version: u64,
+) -> Result<Value, String> {
+    let at = path.display();
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
+    std::fs::write(path, text).map_err(|e| format!("cannot write {at}: {e}"))?;
+    let reread = std::fs::read_to_string(path).map_err(|e| format!("cannot re-read {at}: {e}"))?;
+    let v = json::parse(&reread).map_err(|e| format!("{at} is not valid JSON: {e}"))?;
+    if v.get("schema").and_then(Value::as_str) != Some(schema) {
+        return Err(format!("{at}: schema field missing or not {schema:?}"));
+    }
+    if v.get("version").and_then(Value::as_u64) != Some(version) {
+        return Err(format!("{at}: version field missing or not {version}"));
+    }
+    println!("wrote {at} ({} bytes)", text.len());
+    Ok(v)
+}
+
+/// Print every failure and exit 1 if there is one.
+pub fn exit_on_failures(failures: &[String]) {
+    if failures.is_empty() {
+        return;
+    }
+    for f in failures {
+        eprintln!("FAIL: {f}");
+    }
+    std::process::exit(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_artifact_rejects_a_wrong_schema_and_unparseable_text() {
+        let dir = std::env::temp_dir().join(format!("malnet-artifact-{}", std::process::id()));
+        let path = dir.join("nested/a.json");
+        let good = r#"{"schema":"malnet.x","version":2,"n":7}"#;
+        let v = write_artifact(&path, good, "malnet.x", 2).expect("valid artifact");
+        assert_eq!(v.get("n").and_then(Value::as_u64), Some(7));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), good);
+        let err = write_artifact(&path, good, "malnet.y", 2).unwrap_err();
+        assert!(err.contains("schema"), "{err}");
+        let err = write_artifact(&path, good, "malnet.x", 1).unwrap_err();
+        assert!(err.contains("version"), "{err}");
+        let err = write_artifact(&path, r#"{"schema":"malnet.x","#, "malnet.x", 2).unwrap_err();
+        assert!(err.contains("not valid JSON"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     fn parse(args: &[&str]) -> Result<RunOpts, String> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();

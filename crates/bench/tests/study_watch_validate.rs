@@ -1,11 +1,13 @@
-//! End-to-end tests for `study_watch --validate`'s failure paths.
+//! End-to-end tests for `study_watch`'s command line and failure paths.
 //!
 //! The consistency contract (`fold_matches_report`) says folding the
 //! `malnet.events` stream must reconstruct the final report's counters
 //! and rollup rows exactly. These tests build a small real stream and
 //! report through the telemetry API, then corrupt the stream in ways
 //! that keep it *structurally* valid — so only the cross-check can
-//! catch them — and assert the watcher exits non-zero.
+//! catch them — and assert the watcher exits non-zero. A structurally
+//! broken stream must fail every mode, and the cross-check runs only
+//! against a report named with `--report`.
 
 use std::path::{Path, PathBuf};
 use std::process::Output;
@@ -41,6 +43,15 @@ fn run_validate(events: &Path, report: &Path) -> Output {
         .arg("--report")
         .arg(report)
         .arg("--validate")
+        .output()
+        .expect("spawn study_watch")
+}
+
+fn run_watch(events: &Path, args: &[&str]) -> Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_study_watch"))
+        .arg("--events")
+        .arg(events)
+        .args(args)
         .output()
         .expect("spawn study_watch")
 }
@@ -152,6 +163,7 @@ fn missing_path_or_unknown_flag_exits_2() {
         &["--events"][..],
         &["--validate", "--report"],
         &["--event", "x"],
+        &["--validate", "--stream-only"],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_study_watch"))
             .args(args)
@@ -234,4 +246,56 @@ fn dropped_rollup_row_fails_the_fold() {
         stderr.contains("does not reconstruct the report's rollups"),
         "stderr: {stderr}"
     );
+}
+
+#[test]
+fn validate_without_report_checks_the_stream_only() {
+    let dir = scratch("stream-only");
+    let (events, report) = write_study(&dir);
+    // The report is there but not named: no cross-check, so a report
+    // the stream does not narrate cannot fail the run.
+    std::fs::write(&report, "not a report").unwrap();
+    let out = run_watch(&events, &["--validate"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stdout: {stdout}");
+    assert!(stdout.contains("stream OK"), "stdout: {stdout}");
+    assert!(!stdout.contains("fold OK"), "stdout: {stdout}");
+}
+
+#[test]
+fn validate_with_a_missing_report_exits_1() {
+    let dir = scratch("missing-report");
+    let (events, report) = write_study(&dir);
+    std::fs::remove_file(&report).unwrap();
+    let out = run_validate(&events, &report);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot read"), "stderr: {stderr}");
+}
+
+/// Watching a structurally broken stream prints the first violation
+/// and exits 1, once or with `--follow`, instead of rendering a frozen
+/// prefix forever.
+#[test]
+fn broken_stream_fails_the_watcher() {
+    let dir = scratch("broken");
+    let (events, _) = write_study(&dir);
+    // Drop the second line: a sequence gap at line 2.
+    let text = std::fs::read_to_string(&events).unwrap();
+    let kept: Vec<&str> = text
+        .lines()
+        .enumerate()
+        .filter(|&(i, _)| i != 1)
+        .map(|(_, l)| l)
+        .collect();
+    std::fs::write(&events, kept.join("\n") + "\n").unwrap();
+    for args in [&[][..], &["--follow"], &["--validate"]] {
+        let out = run_watch(&events, args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("line 2: sequence gap"),
+            "{args:?}: {stderr}"
+        );
+    }
 }

@@ -3,7 +3,8 @@
 //!
 //! For every study day with new feed items the pipeline:
 //!
-//! 1. vets each binary (≥ 5 AV engines, §2.2) and labels it (YARA +
+//! 1. records each binary's AV detection count (the paper's §2.2 vetting
+//!    signal; no sample is dropped on it) and labels it (YARA +
 //!    AVClass2),
 //! 2. activates it in the **contained** sandbox (InetSim-faked Internet)
 //!    to extract C2 candidates (§2.1 mode 1) and exploit payloads via the
@@ -84,8 +85,6 @@ pub struct PipelineOpts {
     pub handshaker_threshold: usize,
     /// Behavioural DDoS threshold in packets/second (paper: 100).
     pub pps_threshold: u64,
-    /// AV corroboration bar (paper: 5 engines).
-    pub av_bar: u32,
     /// Days to keep re-probing a discovered C2 after it stops answering.
     pub track_grace_days: u32,
     /// Upper bound on tracked days per C2.
@@ -142,7 +141,6 @@ impl Default for PipelineOpts {
             restricted_secs: 7200,
             handshaker_threshold: 20,
             pps_threshold: 100,
-            av_bar: 5,
             track_grace_days: 2,
             track_max_days: 60,
             run_probing: true,
@@ -995,19 +993,6 @@ pub fn merge_epoch_results(
                 tracking.remove(&addr);
             }
         }
-        let phase = |name: &str, edge: &str| {
-            tel.event(
-                edge,
-                None,
-                &[
-                    ("phase", EventField::S(name)),
-                    ("day", EventField::U(u64::from(day))),
-                ],
-            );
-        };
-        phase("phase_a", "phase_start");
-        phase("phase_a", "phase_end");
-        phase("phase_b", "phase_start");
         if let Some(d) = eday {
             // Replay the epoch's recorded B1/B3 stream events, then its
             // day-0 liveness hits (in occurrence order): live-day and
@@ -1033,7 +1018,6 @@ pub fn merge_epoch_results(
             analyzed += d.batch_len as u64;
             instructions += d.instructions;
         }
-        phase("phase_b", "phase_end");
         let c2s_known = data
             .c2s
             .values()

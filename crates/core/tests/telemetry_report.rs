@@ -18,8 +18,9 @@ fn test_world(seed: u64, n_samples: usize) -> World {
     })
 }
 
-/// Every stage span and counter the full study must populate. Mirrors
-/// the CI gate in `malnet-bench`'s `run_report` binary.
+/// Every stage span and counter the full study must populate: the one
+/// list of the stages the pipeline instruments, so a new stage span or
+/// counter belongs here.
 #[test]
 fn run_report_covers_every_stage() {
     let world = test_world(11, 48);
@@ -40,6 +41,7 @@ fn run_report_covers_every_stage() {
         "pipeline.phase_a",
         "pipeline.phase_b",
         "pipeline.contained_sample",
+        "pipeline.static_triage",
         "pipeline.merge",
         "pipeline.restricted_session",
         "pipeline.ddos_eavesdrop",
@@ -101,6 +103,9 @@ fn run_report_covers_every_stage() {
         "pipeline.samples_analyzed",
         "pipeline.samples_activated",
         "pipeline.c2_candidates",
+        "pipeline.c2_detected",
+        "xray.samples_triaged",
+        "xray.endpoints_extracted",
         "prober.probes_sent",
         "prober.dark_syns",
         "sandbox.instructions_retired",

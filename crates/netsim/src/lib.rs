@@ -22,8 +22,7 @@
 //!   [`stack::SockEvent`]s.
 //! * [`net`] — the event loop: hosts, links with latency/loss/corruption
 //!   fault injection, timers, connect timeouts, and capture taps. Its
-//!   pending events wait in a min-heap plus a FIFO for connect timeouts,
-//!   which arrive already in time order.
+//!   pending events wait in one min-heap keyed by `(at, seq)`.
 //! * [`dns`] — an authoritative DNS zone service used both by the "real"
 //!   simulated resolver and by the sandbox's InetSim-style fake resolver.
 //! * [`services`] — reusable application services (HTTP file server for

@@ -4,7 +4,7 @@
 //! study (1447 samples over 31 weeks) that should be observable while it
 //! runs. An [`EventSink`] is the streaming complement: the pipeline
 //! appends one JSON object per line as lifecycle milestones pass —
-//! study/day/phase boundaries, per-day rollup rows, quarantine and chaos
+//! study and day boundaries, per-day rollup rows, quarantine and chaos
 //! events, progress heartbeats, and full counter snapshots at day
 //! boundaries — and a watcher (`study_watch`) tails the file to render
 //! live progress.
@@ -28,10 +28,12 @@
 //!
 //! ## Consistency contract (the fold)
 //!
-//! [`validate_stream`] checks the stream's well-formedness (contiguous
+//! One line fold checks the stream's well-formedness (contiguous
 //! sequence numbers, one `stream_start`/`stream_end` pair, strictly
-//! increasing days, balanced phases, monotone counter snapshots) and
-//! folds it into a [`StreamSummary`]; [`fold_matches_report`] then
+//! increasing days, monotone counter snapshots, well-formed rollup rows)
+//! and folds it into a [`StreamSummary`]. [`validate_stream`] runs it
+//! over a finished stream; [`StreamTail`] runs it over a growing one and
+//! stops at the same first violation. [`fold_matches_report`] then
 //! asserts the headline property: the last counter snapshot and the
 //! accumulated rollup rows reconstruct the final [`RunReport`]'s
 //! counters and rollups **exactly**. A stream that drifts from the
@@ -54,7 +56,7 @@ pub const EVENTS_SCHEMA: &str = "malnet.events";
 pub const EVENTS_VERSION: u64 = 1;
 
 /// One event payload field: unsigned integers (counters, day numbers,
-/// sizes) or short strings (phase names, hashes, fault details).
+/// sizes) or short strings (hashes, fault kinds and details).
 #[derive(Debug, Clone, Copy)]
 pub enum Field<'a> {
     /// An unsigned integer field.
@@ -288,7 +290,8 @@ pub fn parse_event_line(line: &str) -> Result<Event, String> {
 /// lifecycle events seen along the way.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamSummary {
-    /// Total lines (== the `stream_end` line's `events` field).
+    /// Lines folded (on a complete stream, the `stream_end` line's
+    /// `events` field).
     pub events: u64,
     /// `day_start` days, strictly increasing.
     pub days: Vec<u64>,
@@ -308,49 +311,52 @@ pub struct StreamSummary {
     pub samples_completed: u64,
 }
 
-/// Validate a complete stream and fold it into a [`StreamSummary`].
+/// The one line fold behind [`validate_stream`] and [`StreamTail`]: it
+/// checks the next line against everything before it and folds it into
+/// the summary. A line that fails a check leaves the fold untouched.
 ///
 /// Checks: every line parses; sequence numbers are contiguous from 0;
-/// the first event is a v1 `stream_start` and the last a `stream_end`
-/// whose `events` count matches; nothing follows `stream_end`;
-/// `day_start` days strictly increase; every `phase_end` closes the
-/// innermost open `phase_start` of the same name and none stay open;
-/// counter snapshots are monotone (no counter ever decreases or
-/// disappears); heartbeat progress is monotone; rollup rows carry no
-/// duplicate field names and day-keyed rows strictly increase.
-pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
-    let mut summary = StreamSummary::default();
-    let mut expected_seq = 0u64;
-    let mut phase_stack: Vec<String> = Vec::new();
-    let mut last_counters: Vec<(String, u64)> = Vec::new();
-    let mut last_day_rollup: Option<u64> = None;
-    let mut ended = false;
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        if ended {
+/// the first event is a v1 `stream_start` and a `stream_end`'s `events`
+/// count matches; nothing follows `stream_end`; `day_start` days
+/// strictly increase; counter snapshots are monotone (no counter ever
+/// decreases or disappears); heartbeat progress is monotone; rollup
+/// rows carry no duplicate field names and day-keyed rows strictly
+/// increase. Unknown kinds (`study_start`, `probe_day`, ...) are
+/// structural no-ops, so a reader also accepts older streams.
+#[derive(Debug, Clone, Default)]
+struct Fold {
+    summary: StreamSummary,
+    last_day_rollup: Option<u64>,
+    ended: bool,
+}
+
+impl Fold {
+    fn line(&mut self, line: &str) -> Result<(), String> {
+        let seq = self.summary.events;
+        let lineno = seq + 1;
+        if self.ended {
             return Err(format!("line {lineno}: event after stream_end"));
         }
         let ev = parse_event_line(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        if ev.seq != expected_seq {
+        if ev.seq != seq {
             return Err(format!(
-                "line {lineno}: sequence gap (expected seq {expected_seq}, got {})",
+                "line {lineno}: sequence gap (expected seq {seq}, got {})",
                 ev.seq
             ));
         }
-        expected_seq += 1;
-        if i == 0 {
-            if ev.kind != "stream_start" {
-                return Err(format!("line 1: expected stream_start, got {:?}", ev.kind));
-            }
-            if ev.str("schema") != Some(EVENTS_SCHEMA) {
-                return Err("line 1: wrong or missing schema".to_string());
-            }
-            if ev.u64("version") != Some(EVENTS_VERSION) {
-                return Err("line 1: wrong or missing version".to_string());
-            }
-            continue;
-        }
+        let summary = &mut self.summary;
         match ev.kind.as_str() {
+            kind if seq == 0 => {
+                if kind != "stream_start" {
+                    return Err(format!("line 1: expected stream_start, got {kind:?}"));
+                }
+                if ev.str("schema") != Some(EVENTS_SCHEMA) {
+                    return Err("line 1: wrong or missing schema".to_string());
+                }
+                if ev.u64("version") != Some(EVENTS_VERSION) {
+                    return Err("line 1: wrong or missing version".to_string());
+                }
+            }
             "stream_start" => {
                 return Err(format!("line {lineno}: duplicate stream_start"));
             }
@@ -358,17 +364,12 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 let declared = ev
                     .u64("events")
                     .ok_or(format!("line {lineno}: stream_end lacks \"events\""))?;
-                if declared != expected_seq {
+                if declared != lineno {
                     return Err(format!(
-                        "line {lineno}: stream_end declares {declared} events, stream has {expected_seq}"
+                        "line {lineno}: stream_end declares {declared} events, stream has {lineno}"
                     ));
                 }
-                if !phase_stack.is_empty() {
-                    return Err(format!(
-                        "line {lineno}: stream ended with open phase(s) {phase_stack:?}"
-                    ));
-                }
-                ended = true;
+                self.ended = true;
             }
             "day_start" => {
                 let day = ev
@@ -382,25 +383,6 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 }
                 summary.days.push(day);
             }
-            "phase_start" => {
-                let phase = ev
-                    .str("phase")
-                    .ok_or(format!("line {lineno}: phase_start lacks \"phase\""))?;
-                phase_stack.push(phase.to_string());
-            }
-            "phase_end" => {
-                let phase = ev
-                    .str("phase")
-                    .ok_or(format!("line {lineno}: phase_end lacks \"phase\""))?;
-                match phase_stack.pop() {
-                    Some(open) if open == phase => {}
-                    open => {
-                        return Err(format!(
-                            "line {lineno}: phase_end {phase:?} closes {open:?}"
-                        ))
-                    }
-                }
-            }
             "counters" => {
                 let mut snapshot: Vec<(String, u64)> = Vec::with_capacity(ev.fields.len());
                 for (name, value) in &ev.fields {
@@ -409,7 +391,7 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                         .ok_or(format!("line {lineno}: counter {name:?} is not an integer"))?;
                     snapshot.push((name.clone(), n));
                 }
-                for (name, prev) in &last_counters {
+                for (name, prev) in &summary.final_counters {
                     match snapshot.iter().find(|(n, _)| n == name) {
                         None => {
                             return Err(format!(
@@ -424,10 +406,9 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                         Some(_) => {}
                     }
                 }
-                last_counters = snapshot;
+                summary.final_counters = snapshot;
             }
             "heartbeat" => {
-                summary.heartbeats += 1;
                 let done = ev.u64("samples_completed").ok_or(format!(
                     "line {lineno}: heartbeat lacks \"samples_completed\""
                 ))?;
@@ -437,6 +418,7 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                         summary.samples_completed
                     ));
                 }
+                summary.heartbeats += 1;
                 summary.samples_completed = done;
             }
             "rollup" => {
@@ -460,30 +442,40 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                     let day = ev
                         .u64("day")
                         .ok_or(format!("line {lineno}: day rollup lacks \"day\""))?;
-                    if last_day_rollup.is_some_and(|prev| day <= prev) {
+                    if self.last_day_rollup.is_some_and(|prev| day <= prev) {
                         return Err(format!(
-                            "line {lineno}: day rollup {day} does not increase (last {last_day_rollup:?})"
+                            "line {lineno}: day rollup {day} does not increase (last {:?})",
+                            self.last_day_rollup
                         ));
                     }
-                    last_day_rollup = Some(day);
+                    self.last_day_rollup = Some(day);
                 }
                 summary.rollups.push((key, fields));
             }
             "quarantine" => summary.quarantines += 1,
             "chaos" => summary.chaos_events += 1,
-            // Forward compatibility: unknown lifecycle kinds
-            // (study_start, probe_day, ...) are structural no-ops.
             _ => {}
         }
+        summary.events = lineno;
+        Ok(())
     }
-    if !ended {
+}
+
+/// Validate a complete stream and fold it into a [`StreamSummary`]:
+/// every line passes the fold's checks, and the stream ends with
+/// `stream_end`.
+pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
+    let mut fold = Fold::default();
+    for line in text.lines() {
+        fold.line(line)?;
+    }
+    if !fold.ended {
         return Err(format!(
-            "stream not terminated: {expected_seq} event(s), no stream_end"
+            "stream not terminated: {} event(s), no stream_end",
+            fold.summary.events
         ));
     }
-    summary.events = expected_seq;
-    summary.final_counters = last_counters;
-    Ok(summary)
+    Ok(fold.summary)
 }
 
 /// The consistency contract: the stream's fold must reconstruct the
@@ -518,29 +510,25 @@ pub fn fold_matches_report(summary: &StreamSummary, report: &RunReport) -> Resul
 }
 
 /// Incremental, stateful fold of a growing `malnet.events` stream —
-/// the engine behind `study_watch --follow`.
+/// the engine behind `study_watch` and its `--follow` mode.
 ///
-/// The legacy follower re-read and re-folded the entire events file on
-/// every 500 ms poll tick, which is O(n²) work over a study's lifetime
-/// (a day-432 stream was folded hundreds of times per minute near the
-/// end). `StreamTail` consumes only newly appended bytes: feed it
-/// chunks split at **any** boundary — including mid-line; the sink
-/// flushes whole lines, but a reader can still observe a torn tail
-/// between the write and the flush — and it folds exactly the complete
-/// lines, carrying an unterminated tail until its newline arrives.
+/// `StreamTail` consumes only newly appended bytes, so watching a study
+/// costs O(stream) in total. Feed it chunks split at **any** boundary —
+/// including mid-line; the sink flushes whole lines, but a reader can
+/// still observe a torn tail between the write and the flush — and it
+/// folds exactly the complete lines, carrying an unterminated tail until
+/// its newline arrives.
 ///
-/// The fold is the lenient watcher fold, not the strict one: no
-/// structural checks (CI's `--validate` path uses [`validate_stream`]
-/// on the finished file), and the first complete line that fails to
-/// parse poisons the tail — folding stops for good, matching the old
-/// break-on-first-bad-line behaviour.
+/// Each complete line goes through the same strict fold as
+/// [`validate_stream`]. The first line that fails it stops the tail for
+/// good: [`StreamTail::error`] keeps the message, later pushes are
+/// ignored and the summary stays at the last good line.
 #[derive(Debug, Clone, Default)]
 pub struct StreamTail {
     /// Bytes of an unterminated trailing line, held until its newline.
     carry: String,
-    summary: StreamSummary,
-    complete: bool,
-    poisoned: bool,
+    fold: Fold,
+    error: Option<String>,
 }
 
 impl StreamTail {
@@ -579,60 +567,26 @@ impl StreamTail {
         }
     }
 
-    /// The fold so far. Only complete, parsed lines are reflected.
+    /// The fold so far. Only complete lines that passed the checks are
+    /// reflected.
     pub fn summary(&self) -> &StreamSummary {
-        &self.summary
+        &self.fold.summary
     }
 
     /// Has `stream_end` been folded?
     pub fn is_complete(&self) -> bool {
-        self.complete
+        self.fold.ended
     }
 
-    /// Did a complete line fail to parse? Once poisoned, further pushes
-    /// are ignored and the summary is frozen at the last good line.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
+    /// The first violation, if a complete line failed the fold: the
+    /// same message [`validate_stream`] gives for that stream.
+    pub fn error(&self) -> Option<&str> {
+        self.error.as_deref()
     }
 
     fn fold_line(&mut self, line: &str) {
-        if self.poisoned {
-            return;
-        }
-        let Ok(ev) = parse_event_line(line) else {
-            self.poisoned = true;
-            return;
-        };
-        self.summary.events += 1;
-        match ev.kind.as_str() {
-            "stream_end" => self.complete = true,
-            "day_start" => self.summary.days.extend(ev.u64("day")),
-            "heartbeat" => {
-                self.summary.heartbeats += 1;
-                if let Some(done) = ev.u64("samples_completed") {
-                    self.summary.samples_completed = done;
-                }
-            }
-            "counters" => {
-                self.summary.final_counters = ev
-                    .fields
-                    .iter()
-                    .filter_map(|(n, v)| v.as_u64().map(|v| (n.clone(), v)))
-                    .collect();
-            }
-            "rollup" => {
-                if let Some(key) = ev.key.clone() {
-                    let fields = ev
-                        .fields
-                        .iter()
-                        .filter_map(|(n, v)| v.as_u64().map(|v| (n.clone(), v)))
-                        .collect();
-                    self.summary.rollups.push((key, fields));
-                }
-            }
-            "quarantine" => self.summary.quarantines += 1,
-            "chaos" => self.summary.chaos_events += 1,
-            _ => {}
+        if self.error.is_none() {
+            self.error = self.fold.line(line).err();
         }
     }
 }
@@ -674,43 +628,52 @@ mod tests {
         assert_eq!(sink.contents().unwrap(), text);
     }
 
+    /// Streams written before the epoch reduce stopped emitting empty
+    /// `phase_start`/`phase_end` pairs still carry them. They are
+    /// unknown kinds now, so such a stream validates to the same fold.
     #[test]
     fn validate_accepts_a_well_formed_stream() {
-        let sink = EventSink::in_memory();
-        sink.emit("study_start", None, &[("seed", field_u(22))]);
-        for day in [0u64, 3, 7] {
-            sink.emit("day_start", None, &[("day", field_u(day))]);
-            sink.emit("phase_start", None, &[("phase", Field::S("phase_a"))]);
-            sink.emit("phase_end", None, &[("phase", Field::S("phase_a"))]);
-            sink.emit(
-                "heartbeat",
-                None,
-                &[
-                    ("day", field_u(day)),
-                    ("samples_completed", field_u(day + 1)),
-                ],
-            );
-            sink.emit(
-                "rollup",
-                Some("day"),
-                &[("day", field_u(day)), ("samples", field_u(2))],
-            );
-            sink.emit(
-                "counters",
-                None,
-                &[("a.x", field_u(day * 2)), ("b.y", field_u(day + 5))],
+        for phases in [false, true] {
+            let sink = EventSink::in_memory();
+            sink.emit("study_start", None, &[("seed", field_u(22))]);
+            for day in [0u64, 3, 7] {
+                sink.emit("day_start", None, &[("day", field_u(day))]);
+                if phases {
+                    let fields = [("phase", Field::S("phase_a")), ("day", field_u(day))];
+                    sink.emit("phase_start", None, &fields);
+                    sink.emit("phase_end", None, &fields);
+                }
+                sink.emit(
+                    "heartbeat",
+                    None,
+                    &[
+                        ("day", field_u(day)),
+                        ("samples_completed", field_u(day + 1)),
+                    ],
+                );
+                sink.emit(
+                    "rollup",
+                    Some("day"),
+                    &[("day", field_u(day)), ("samples", field_u(2))],
+                );
+                sink.emit(
+                    "counters",
+                    None,
+                    &[("a.x", field_u(day * 2)), ("b.y", field_u(day + 5))],
+                );
+            }
+            sink.finish();
+            let summary = validate_stream(&sink.contents().unwrap()).expect("valid");
+            assert_eq!(summary.events, if phases { 21 } else { 15 });
+            assert_eq!(summary.days, vec![0, 3, 7]);
+            assert_eq!(summary.heartbeats, 3);
+            assert_eq!(summary.samples_completed, 8);
+            assert_eq!(summary.rollups.len(), 3);
+            assert_eq!(
+                summary.final_counters,
+                vec![("a.x".to_string(), 14), ("b.y".to_string(), 12)]
             );
         }
-        sink.finish();
-        let summary = validate_stream(&sink.contents().unwrap()).expect("valid");
-        assert_eq!(summary.days, vec![0, 3, 7]);
-        assert_eq!(summary.heartbeats, 3);
-        assert_eq!(summary.samples_completed, 8);
-        assert_eq!(summary.rollups.len(), 3);
-        assert_eq!(
-            summary.final_counters,
-            vec![("a.x".to_string(), 14), ("b.y".to_string(), 12)]
-        );
     }
 
     #[test]
@@ -748,15 +711,6 @@ mod tests {
             .unwrap_err()
             .contains("does not increase"));
 
-        // Unbalanced phases.
-        let sink = EventSink::in_memory();
-        sink.emit("phase_start", None, &[("phase", Field::S("phase_a"))]);
-        sink.emit("phase_end", None, &[("phase", Field::S("phase_b"))]);
-        sink.finish();
-        assert!(validate_stream(&sink.contents().unwrap())
-            .unwrap_err()
-            .contains("phase_end"));
-
         // A counter going backwards.
         let sink = EventSink::in_memory();
         sink.emit("counters", None, &[("a", field_u(5))]);
@@ -774,6 +728,37 @@ mod tests {
         assert!(validate_stream(&sink.contents().unwrap())
             .unwrap_err()
             .contains("day rollup"));
+    }
+
+    /// The tail runs the validator's fold, so on a structurally broken
+    /// stream it stops at the same first violation, whatever the
+    /// chunking, and keeps the summary of the lines before it.
+    #[test]
+    fn stream_tail_reports_the_validators_first_error() {
+        let text = synthetic_stream(30);
+        let lines: Vec<&str> = text.lines().collect();
+        // A dropped line: a sequence gap.
+        let gap = [&lines[..40], &lines[41..]].concat().join("\n");
+        // A repeated day, with every seq intact: only the day check trips.
+        let at = lines.iter().rposition(|l| l.contains("day_start")).unwrap();
+        let mut repeat: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        repeat[at] = repeat[at].replace("\"day\":29", "\"day\":28");
+        for text in [gap, repeat.join("\n")] {
+            let text = text + "\n";
+            let want = validate_stream(&text).unwrap_err();
+            for chunk in [1usize, 64, text.len()] {
+                let mut tail = StreamTail::new();
+                for part in text.as_bytes().chunks(chunk) {
+                    tail.push(std::str::from_utf8(part).unwrap());
+                }
+                assert_eq!(tail.error(), Some(want.as_str()), "chunk size {chunk}");
+                assert!(!tail.is_complete());
+                let line: u64 = want["line ".len()..want.find(':').unwrap()]
+                    .parse()
+                    .unwrap();
+                assert_eq!(tail.summary().events, line - 1, "chunk size {chunk}");
+            }
+        }
     }
 
     #[test]
@@ -809,8 +794,6 @@ mod tests {
         sink.emit("study_start", None, &[("seed", field_u(7))]);
         for day in 0..days {
             sink.emit("day_start", None, &[("day", field_u(day))]);
-            sink.emit("phase_start", None, &[("phase", Field::S("phase_a"))]);
-            sink.emit("phase_end", None, &[("phase", Field::S("phase_a"))]);
             if day % 5 == 0 {
                 sink.emit(
                     "quarantine",
@@ -863,7 +846,7 @@ mod tests {
         let mut batch = StreamTail::new();
         batch.push(&text);
         assert!(batch.is_complete());
-        assert!(!batch.is_poisoned());
+        assert_eq!(batch.error(), None);
         assert_eq!(batch.summary().days.len(), 400);
 
         // The stream is ASCII JSON, so any byte split is a char split.
@@ -874,7 +857,7 @@ mod tests {
             }
             assert_eq!(tail.summary(), batch.summary(), "chunk size {chunk}");
             assert!(tail.is_complete(), "chunk size {chunk}");
-            assert!(!tail.is_poisoned(), "chunk size {chunk}");
+            assert_eq!(tail.error(), None, "chunk size {chunk}");
         }
 
         // And the batch fold agrees with the strict validator's.
@@ -910,21 +893,25 @@ mod tests {
         assert_eq!(oneshot.summary().events, 1);
     }
 
-    /// A complete line that does not parse poisons the tail: the fold
-    /// freezes at the last good line (the legacy watcher's
-    /// break-on-first-bad-line semantics, made permanent).
+    /// A complete line that does not parse stops the tail: the fold
+    /// freezes at the last good line and the error names the bad one.
     #[test]
     fn stream_tail_poisons_on_garbage() {
         let text = synthetic_stream(4);
+        let (head, rest) = text.split_at(text.len() / 2);
+        let head = &head[..=head.rfind('\n').unwrap()];
         let mut tail = StreamTail::new();
-        tail.push(&text);
+        tail.push(head);
         let good = tail.summary().clone();
-        let mut poisoned = StreamTail::new();
-        poisoned.push(&text);
-        poisoned.push("not json at all\n");
-        poisoned.push(&text);
-        assert!(poisoned.is_poisoned());
-        assert_eq!(poisoned.summary(), &good, "post-poison lines folded");
+        tail.push("not json at all\n");
+        tail.push(rest);
+        tail.push(&text);
+        let err = tail.error().expect("garbage is an error");
+        assert!(
+            err.starts_with(&format!("line {}:", good.events + 1)),
+            "{err}"
+        );
+        assert_eq!(tail.summary(), &good, "post-error lines folded");
     }
 
     #[test]

@@ -7,23 +7,11 @@
 
 use malnet_mips::elf::{ElfFile, ElfSegment};
 
-/// One structural finding. `code` is stable and machine-matchable;
-/// `message` is for humans.
+/// One structural finding, by its stable, machine-matchable code.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Lint {
     /// Stable finding code (e.g. `elf.no_text`).
     pub code: &'static str,
-    /// Human-readable detail.
-    pub message: String,
-}
-
-impl Lint {
-    fn new(code: &'static str, message: impl Into<String>) -> Self {
-        Lint {
-            code,
-            message: message.into(),
-        }
-    }
 }
 
 /// Parse and structurally validate ELF bytes.
@@ -31,57 +19,35 @@ impl Lint {
 /// Returns the parsed file (when parseable at all) together with every
 /// lint raised. A file that fails to parse yields `(None, [elf.parse])`.
 pub fn lint_bytes(bytes: &[u8]) -> (Option<ElfFile>, Vec<Lint>) {
-    let elf = match ElfFile::parse(bytes) {
-        Ok(f) => f,
-        Err(e) => return (None, vec![Lint::new("elf.parse", e.to_string())]),
+    let Ok(elf) = ElfFile::parse(bytes) else {
+        return (None, vec![Lint { code: "elf.parse" }]);
     };
-    let mut lints = Vec::new();
+    let mut codes = Vec::new();
     let exec: Vec<&ElfSegment> = elf.segments.iter().filter(|s| s.executable).collect();
     if elf.segments.is_empty() {
-        lints.push(Lint::new("elf.no_segments", "no PT_LOAD segments"));
+        codes.push("elf.no_segments");
     }
     if exec.is_empty() {
-        lints.push(Lint::new("elf.no_text", "no executable segment"));
+        codes.push("elf.no_text");
     }
     if !elf
         .segments
         .iter()
         .any(|s| s.executable && segment_contains(s, elf.entry))
     {
-        lints.push(Lint::new(
-            "elf.entry_outside_text",
-            format!("entry {:#010x} not inside an executable segment", elf.entry),
-        ));
+        codes.push("elf.entry_outside_text");
     }
     for s in &exec {
         if s.data.len() % 4 != 0 {
-            lints.push(Lint::new(
-                "elf.text_align",
-                format!(
-                    "executable segment at {:#010x} is {} bytes (not word-aligned)",
-                    s.vaddr,
-                    s.data.len()
-                ),
-            ));
+            codes.push("elf.text_align");
         }
         if s.writable {
-            lints.push(Lint::new(
-                "elf.wx",
-                format!("segment at {:#010x} is writable+executable", s.vaddr),
-            ));
+            codes.push("elf.wx");
         }
     }
     for s in &elf.segments {
         if (s.memsz as usize) < s.data.len() {
-            lints.push(Lint::new(
-                "elf.memsz",
-                format!(
-                    "segment at {:#010x}: memsz {} < filesz {}",
-                    s.vaddr,
-                    s.memsz,
-                    s.data.len()
-                ),
-            ));
+            codes.push("elf.memsz");
         }
     }
     // Overlapping vaddr ranges (by memsz) usually mean a corrupted or
@@ -97,25 +63,18 @@ pub fn lint_bytes(bytes: &[u8]) -> (Option<ElfFile>, Vec<Lint>) {
     spans.sort_unstable();
     for w in spans.windows(2) {
         if w[1].0 < w[0].1 {
-            lints.push(Lint::new(
-                "elf.overlap",
-                format!(
-                    "segments overlap: [{:#x}, {:#x}) and [{:#x}, {:#x})",
-                    w[0].0, w[0].1, w[1].0, w[1].1
-                ),
-            ));
+            codes.push("elf.overlap");
         }
     }
+    // No read-only data segment: nothing to extract strings from.
     if !elf
         .segments
         .iter()
         .any(|s| !s.executable && !s.writable && !s.data.is_empty())
     {
-        lints.push(Lint::new(
-            "elf.no_rodata",
-            "no read-only data segment (nothing to extract strings from)",
-        ));
+        codes.push("elf.no_rodata");
     }
+    let lints = codes.into_iter().map(|code| Lint { code }).collect();
     (Some(elf), lints)
 }
 
