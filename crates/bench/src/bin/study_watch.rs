@@ -25,10 +25,11 @@
 //!
 //! Both watching modes fold with the validator's checks: a stream that
 //! breaks one prints the violation and exits 1. `--validate` exits 1 on
-//! any violation; a usage error exits 2.
+//! any violation; a usage error exits 2, as do `--report` without
+//! `--validate` and `--follow` with it, which would otherwise be ignored.
 //!
 //! Usage:
-//! `study_watch [--events PATH] [--validate [--report PATH]] [--follow]`
+//! `study_watch [--events PATH] [--validate [--report PATH] | --follow]`
 
 use std::io::{Read, Seek, SeekFrom};
 
@@ -46,7 +47,7 @@ struct Args {
 fn usage_error(error: &str) -> ! {
     eprintln!(
         "{error}\n\
-         usage: study_watch [--events PATH] [--validate [--report PATH]] [--follow]"
+         usage: study_watch [--events PATH] [--validate [--report PATH] | --follow]"
     );
     std::process::exit(2)
 }
@@ -71,6 +72,12 @@ fn parse_args() -> Args {
             "--follow" => args.follow = true,
             other => usage_error(&format!("unknown argument {other:?}")),
         }
+    }
+    if args.report.is_some() && !args.validate {
+        usage_error("--report needs --validate");
+    }
+    if args.follow && args.validate {
+        usage_error("--follow and --validate exclude each other");
     }
     args
 }

@@ -164,6 +164,10 @@ fn missing_path_or_unknown_flag_exits_2() {
         &["--validate", "--report"],
         &["--event", "x"],
         &["--validate", "--stream-only"],
+        // Flags that would otherwise be accepted and silently ignored.
+        &["--report", "/nonexistent.json"],
+        &["--follow", "--validate"],
+        &["--validate", "--follow"],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_study_watch"))
             .args(args)

@@ -1096,8 +1096,14 @@ fn plan_attacks(
 
     let mut plans: Vec<AttackPlan> = Vec::new();
     let mut schedule: AttackSchedule = BTreeMap::new();
-    // Delay-slot cursor per (c2, day): commands land 12 minutes apart so
-    // the bot never receives two coalesced into one read.
+    // Delay-slot cursor per (c2, day): commands land 12 minutes apart, so
+    // no two commands share one read. The spacing does not cover the
+    // C2's keepalives. The Mirai bot parses each read at fixed offsets and
+    // never reads the frame's u16 length, so a keepalive and a command in
+    // one read shift every field by 2 bytes: the bot floods a `0.1.x.y`
+    // address for about 15 days (until the session deadline) and never
+    // reads its C2 again. The behavioural detector then records that
+    // flood as a verified D-DDOS row that matches no planned command.
     let mut delay_cursor: BTreeMap<(usize, u32), u64> = BTreeMap::new();
     let mut double_hit_budget = 7; // ~25% of ~28 targets take two types
     let mut target_cursor = 0usize;

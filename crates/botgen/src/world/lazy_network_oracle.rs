@@ -7,7 +7,7 @@ use malnet_netsim::net::NetStats;
 use malnet_netsim::stack::{SockEvent, SockId};
 use malnet_protocols::mirai;
 use malnet_wire::dns::DnsMessage;
-use malnet_wire::Packet;
+use malnet_wire::{pcap, Packet};
 
 use super::*;
 
@@ -240,11 +240,13 @@ fn drive(net: &mut Network, w: &World, case: &Case) -> Seen {
     }
     net.run_until(t0 + SimDuration::from_secs(2 * 3_600));
     inbox.extend(net.ext_events(OUTSIDE));
+    let (capture, skipped) = pcap::parse_capture(&net.stop_capture(OUTSIDE)).expect("tap framing");
+    assert_eq!(skipped, 0, "every frame the tap wrote decodes");
     Seen {
         states: vec![before, states(net)],
         stats: net.stats,
         inbox,
-        capture: net.stop_capture(OUTSIDE),
+        capture,
     }
 }
 

@@ -14,6 +14,7 @@ use malnet_protocols::profiler::identify_family;
 use malnet_protocols::Family;
 use malnet_sandbox::Artifacts;
 use malnet_wire::packet::Transport;
+use malnet_wire::pcap;
 
 /// A destination port is considered a *scan port* once this many distinct
 /// addresses were contacted on it within one run.
@@ -39,27 +40,15 @@ pub struct C2Candidate {
     pub family_from_traffic: Option<Family>,
 }
 
-/// Extract C2 candidates from one contained/observational run.
+/// Extract C2 candidates from one contained/observational run, in one
+/// pass over the capture's packets as they are decoded.
 pub fn detect_c2(art: &Artifacts, bot_ip: Ipv4Addr) -> Vec<C2Candidate> {
-    let packets = art.packets();
     // DNS: map answered IPs back to queried names. The sandbox's wildcard
     // resolver answers every name with the sinkhole, so pair answers with
-    // names by matching the response payloads in the capture.
+    // names by matching the response payloads in the capture. Read only
+    // once the pass is done.
     // Lookup-only (queried per candidate IP, never iterated). lint: hash-ok
     let mut ip_to_name: HashMap<Ipv4Addr, String> = HashMap::new();
-    for (_, p) in &packets {
-        if p.dst == bot_ip {
-            if let Transport::Udp { header, payload } = &p.transport {
-                if header.src_port == 53 {
-                    if let Ok(msg) = malnet_wire::dns::DnsMessage::decode(payload) {
-                        for (_, ip, _) in &msg.answers {
-                            ip_to_name.insert(*ip, msg.question.as_str().to_string());
-                        }
-                    }
-                }
-            }
-        }
-    }
     // Flow statistics keyed by (dst, port).
     #[derive(Default)]
     struct Flow {
@@ -71,9 +60,16 @@ pub fn detect_c2(art: &Artifacts, bot_ip: Ipv4Addr) -> Vec<C2Candidate> {
     // Lookup-only (fanout counts read per flow key). lint: hash-ok
     let mut port_fanout: HashMap<u16, BTreeSet<Ipv4Addr>> = HashMap::new();
     let mut synack_seen: BTreeSet<(Ipv4Addr, u16)> = BTreeSet::new();
-    for (_, p) in &packets {
-        if let Transport::Tcp { header, payload } = &p.transport {
-            if p.src == bot_ip {
+    for (_, p) in pcap::packets(&art.pcap) {
+        match p.transport {
+            Transport::Udp { header, payload } if p.dst == bot_ip && header.src_port == 53 => {
+                if let Ok(msg) = malnet_wire::dns::DnsMessage::decode(&payload) {
+                    for (_, ip, _) in &msg.answers {
+                        ip_to_name.insert(*ip, msg.question.as_str().to_string());
+                    }
+                }
+            }
+            Transport::Tcp { header, payload } if p.src == bot_ip => {
                 let key = (p.dst, header.dst_port);
                 let f = flows.entry(key).or_default();
                 if header.flags.syn() && !header.flags.ack() {
@@ -84,11 +80,15 @@ pub fn detect_c2(art: &Artifacts, bot_ip: Ipv4Addr) -> Vec<C2Candidate> {
                         .insert(p.dst);
                 }
                 if !payload.is_empty() && f.first_payload.is_empty() {
-                    f.first_payload = payload.clone();
+                    f.first_payload = payload;
                 }
-            } else if p.dst == bot_ip && header.flags.syn() && header.flags.ack() {
+            }
+            Transport::Tcp { header, .. }
+                if p.dst == bot_ip && header.flags.syn() && header.flags.ack() =>
+            {
                 synack_seen.insert((p.src, header.src_port));
             }
+            _ => {}
         }
     }
     for (key, f) in &mut flows {

@@ -17,6 +17,7 @@
 //! flood traffic to the commanded target; a behavioural hit must find the
 //! target's bytes in the last command payload.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -52,8 +53,11 @@ pub struct ExtractedCommand {
 ///
 /// The capture is walked once ([`CaptureScan`]); command verification
 /// and flood characterization are lookups in what that walk built.
-pub fn extract(
-    packets: &[(u64, Packet)],
+/// `packets` is any stream of `(timestamp µs, packet)` pairs, owned or
+/// borrowed: the pipeline passes a capture's [`malnet_wire::pcap::packets`]
+/// as they are decoded, tests a `&Vec` of them.
+pub fn extract<P: Borrow<(u64, Packet)>>(
+    packets: impl IntoIterator<Item = P>,
     bot_ip: Ipv4Addr,
     c2_ip: Ipv4Addr,
     family: Option<Family>,
@@ -140,28 +144,33 @@ fn contains(hay: &[u8], needle: &[u8]) -> bool {
 }
 
 /// What [`extract`] needs from a capture, built in one walk over it.
-struct CaptureScan<'a> {
+struct CaptureScan {
     /// Non-empty C2→bot TCP payloads with their timestamps, in capture
-    /// order, borrowed from the packets.
-    c2_chunks: Vec<(u64, &'a [u8])>,
+    /// order.
+    c2_chunks: Vec<(u64, Vec<u8>)>,
     /// Bot→non-C2 packets per `(second, destination)`.
     per_sec: RunTally<(u64, Ipv4Addr), u64>,
     /// The bot's traffic per destination, the C2 included.
     floods: RunTally<Ipv4Addr, FloodStats>,
 }
 
-impl<'a> CaptureScan<'a> {
-    fn new(packets: &'a [(u64, Packet)], bot_ip: Ipv4Addr, c2_ip: Ipv4Addr) -> Self {
+impl CaptureScan {
+    fn new<P: Borrow<(u64, Packet)>>(
+        packets: impl IntoIterator<Item = P>,
+        bot_ip: Ipv4Addr,
+        c2_ip: Ipv4Addr,
+    ) -> Self {
         let mut scan = CaptureScan {
             c2_chunks: Vec::new(),
             per_sec: RunTally::default(),
             floods: RunTally::default(),
         };
-        for (ts, p) in packets {
+        for item in packets {
+            let (ts, p) = item.borrow();
             if p.src == c2_ip && p.dst == bot_ip {
                 if let Transport::Tcp { payload, .. } = &p.transport {
                     if !payload.is_empty() {
-                        scan.c2_chunks.push((*ts, payload.as_slice()));
+                        scan.c2_chunks.push((*ts, payload.clone()));
                     }
                 }
             }

@@ -56,6 +56,7 @@ use malnet_netsim::time::{SimDuration, SimTime, STUDY_DAYS};
 use malnet_protocols::Family;
 use malnet_sandbox::{AnalysisMode, EmuFaultTally, Sandbox, SandboxConfig};
 use malnet_wire::dns::{DnsMessage, DomainName};
+use malnet_wire::pcap;
 
 use crate::c2detect::detect_c2;
 use crate::chaos::FaultPlan;
@@ -1239,12 +1240,12 @@ fn run_restricted_batch(
             )
         };
         let _eavesdrop_span = tel.span_under("pipeline.ddos_eavesdrop", &parent);
-        let packets = session.packets();
         let evidence = job
             .live
             .iter()
             .map(|(addr, ip, _port, fam)| {
-                let cmds = ddos::extract(&packets, BOT_IP, *ip, *fam, opts.pps_threshold);
+                let packets = pcap::packets(&session.pcap);
+                let cmds = ddos::extract(packets, BOT_IP, *ip, *fam, opts.pps_threshold);
                 tel.add("pipeline.ddos_commands_seen", cmds.len() as u64);
                 (addr.clone(), *ip, *fam, cmds)
             })

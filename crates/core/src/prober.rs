@@ -23,6 +23,7 @@ use malnet_prng::sub_seed;
 use malnet_sandbox::{AnalysisMode, Image, Sandbox, SandboxConfig};
 use malnet_telemetry::{Field as EventField, SpanCtx, Telemetry};
 use malnet_wire::packet::Transport;
+use malnet_wire::pcap;
 
 use crate::datasets::ProbedC2;
 
@@ -299,7 +300,7 @@ fn probe_round(
         let art = sb.execute_image(weapon.as_ref(), SimDuration::from_secs(cfg.engage_secs));
         net = sb.into_network();
         // Engagement: any application payload back from the target.
-        let engaged = art.packets().iter().any(|(_, p)| {
+        let engaged = pcap::packets(&art.pcap).any(|(_, p)| {
             p.src == ip
                 && matches!(&p.transport, Transport::Tcp { payload, .. } if !payload.is_empty())
         });
@@ -449,9 +450,7 @@ mod tests {
         net.add_external_host(PROBER_IP);
         net.start_capture(PROBER_IP);
         let sweep = syn_sweep(&mut net, PROBER_IP, &targets, 0);
-        let arrivals: Vec<usize> = net
-            .stop_capture(PROBER_IP)
-            .iter()
+        let arrivals: Vec<usize> = pcap::packets(&net.stop_capture(PROBER_IP))
             .filter(|(_, p)| {
                 p.dst == PROBER_IP && p.tcp_flags().is_some_and(|f| f.syn() && f.ack())
             })

@@ -5,7 +5,9 @@
 //! free-text commands, floods of every shape toward targets that
 //! include a C2 itself, background noise, and timestamps that are
 //! shuffled out of order. Every (C2, family, threshold) extraction must
-//! come out identical.
+//! come out identical, both over the borrowed packet list and over the
+//! owned packets streamed from the list's pcap encoding, as the pipeline
+//! reads a restricted session's capture.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -18,6 +20,7 @@ use malnet_protocols::profiler::C2Profiler;
 use malnet_protocols::{daddyl33t, gafgyt, mirai, AttackCommand, AttackMethod, Family};
 use malnet_wire::icmp::IcmpMessage;
 use malnet_wire::packet::{Packet, Transport};
+use malnet_wire::pcap;
 use malnet_wire::tcp::TcpFlags;
 
 const BOT: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 2);
@@ -381,7 +384,8 @@ proptest! {
 
     /// One-pass extraction equals the two-pass oracle for every C2 of
     /// the session, every family (profiled or not) and threshold, on
-    /// captures whose timestamps are shuffled out of order.
+    /// captures whose timestamps are shuffled out of order, whether it
+    /// borrows the packets or streams them from pcap bytes.
     #[test]
     fn one_pass_extract_matches_two_pass_oracle(
         events in proptest::collection::vec(arb_event(), 1..12),
@@ -409,12 +413,15 @@ proptest! {
             Some(Family::Tsunami),
             None,
         ];
+        let capture = pcap::to_bytes(&pkts);
         for c2 in C2S {
             for family in families {
                 for pps in [1u64, 100] {
                     let want = extract(&pkts, BOT, c2, family, pps);
                     let got = ddos::extract(&pkts, BOT, c2, family, pps);
-                    prop_assert_eq!(got, want, "c2 {} family {:?} pps {}", c2, family, pps);
+                    prop_assert_eq!(&got, &want, "c2 {} family {:?} pps {}", c2, family, pps);
+                    let streamed = ddos::extract(pcap::packets(&capture), BOT, c2, family, pps);
+                    prop_assert_eq!(streamed, want, "streamed: c2 {} family {:?} pps {}", c2, family, pps);
                 }
             }
         }

@@ -18,8 +18,9 @@
 //! Packets experience deterministic per-pair latency plus optional fault
 //! injection ([`LinkFaults`]): loss and corruption probabilities drawn
 //! from the network's seeded RNG. Packets to **down** hosts are silently
-//! dropped, which is how dead C2 servers produce SYN timeouts. Capture
-//! taps record traffic per host IP, producing the pcap evidence the
+//! dropped, which is how dead C2 servers produce SYN timeouts. A capture
+//! tap on a host writes every packet it sends or receives straight into
+//! that host's pcap file ([`Network::start_capture`]), the evidence the
 //! analysis pipeline consumes.
 
 use std::collections::{btree_map, BTreeMap, HashMap, VecDeque};
@@ -28,7 +29,7 @@ use std::net::Ipv4Addr;
 use malnet_prng::rngs::StdRng;
 use malnet_prng::{Rng, SeedableRng};
 
-use malnet_wire::Packet;
+use malnet_wire::{pcap, Packet};
 
 use crate::queue::{EventKind, EventQueue, QueuedEvent};
 use crate::stack::{HostStack, SockEvent, SockId};
@@ -190,7 +191,23 @@ struct HostEntry {
     stack: HostStack,
     driver: Driver,
     up: bool,
-    capture: Option<Vec<(u64, Packet)>>,
+    capture: Option<Tap>,
+}
+
+/// A running capture: the pcap file written so far, one record per packet
+/// the host sent or received, and the number of those records.
+struct Tap {
+    pcap: Vec<u8>,
+    records: u64,
+}
+
+impl Default for Tap {
+    fn default() -> Self {
+        Tap {
+            pcap: pcap::new_capture(),
+            records: 0,
+        }
+    }
 }
 
 /// Statistics counters for a network run.
@@ -249,6 +266,8 @@ struct NetTelemetry {
     dns_faults: malnet_telemetry::Counter,
     delivered_bytes: malnet_telemetry::Histogram,
     hosts_built: malnet_telemetry::Counter,
+    pcap_records: malnet_telemetry::Counter,
+    pcap_bytes: malnet_telemetry::Counter,
 }
 
 impl NetTelemetry {
@@ -260,6 +279,8 @@ impl NetTelemetry {
             dns_faults: tel.counter("netsim.dns_faults_injected"),
             delivered_bytes: tel.histogram("netsim.delivered_payload_bytes"),
             hosts_built: tel.counter("netsim.hosts_built"),
+            pcap_records: tel.counter("wire.pcap_records_encoded"),
+            pcap_bytes: tel.counter("wire.pcap_bytes_encoded"),
         }
     }
 }
@@ -468,31 +489,40 @@ impl Network {
         }
     }
 
-    /// Enable packet capture on a host; all packets sent or received by
-    /// `ip` from now on are recorded.
+    /// Start a capture on a host (restarting any running one): every
+    /// packet `ip` sends or receives from now on is appended to a pcap
+    /// file as it crosses the host's tap, encoded once
+    /// ([`pcap::push_record`]) and never held as a [`Packet`].
     pub fn start_capture(&mut self, ip: Ipv4Addr) {
         if let Some(h) = self.touch(ip) {
             let fresh = h.capture.is_none();
-            h.capture = Some(Vec::new());
+            h.capture = Some(Tap::default());
             self.capturing += usize::from(fresh);
         }
     }
 
-    /// Stop capturing and return the recorded (timestamp µs, packet) list.
-    pub fn stop_capture(&mut self, ip: Ipv4Addr) -> Vec<(u64, Packet)> {
-        let cap = self.hosts.get_mut(&ip).and_then(|h| h.capture.take());
-        self.capturing -= usize::from(cap.is_some());
-        cap.unwrap_or_default()
+    /// Stop capturing and return the capture's pcap bytes: the global
+    /// header and one record per packet, in tap order. A host without a
+    /// running capture yields an empty capture. The records and bytes
+    /// handed out are counted into `wire.pcap_records_encoded` and
+    /// `wire.pcap_bytes_encoded`; a capture dropped with its host
+    /// ([`Network::remove_host`]) is not.
+    pub fn stop_capture(&mut self, ip: Ipv4Addr) -> Vec<u8> {
+        let tap = self.hosts.get_mut(&ip).and_then(|h| h.capture.take());
+        self.capturing -= usize::from(tap.is_some());
+        let tap = tap.unwrap_or_default();
+        self.tel.pcap_records.add(tap.records);
+        self.tel.pcap_bytes.add(tap.pcap.len() as u64);
+        tap.pcap
     }
 
     fn record(&mut self, ip: Ipv4Addr, ts: SimTime, pkt: &Packet) {
         if self.capturing == 0 {
             return;
         }
-        if let Some(h) = self.hosts.get_mut(&ip) {
-            if let Some(cap) = h.capture.as_mut() {
-                cap.push((ts.as_micros(), pkt.clone()));
-            }
+        if let Some(tap) = self.hosts.get_mut(&ip).and_then(|h| h.capture.as_mut()) {
+            pcap::push_record(&mut tap.pcap, ts.as_micros(), pkt);
+            tap.records += 1;
         }
     }
 
@@ -993,7 +1023,7 @@ mod tests {
         net.run_for(SimDuration::from_secs(1));
         net.ext_tcp_send(A, sock, b"x");
         net.run_for(SimDuration::from_secs(1));
-        let cap = net.stop_capture(A);
+        let cap = pcap::parse_capture(&net.stop_capture(A)).unwrap().0;
         // SYN, SYN-ACK, ACK, data, ack, reply data, ack ≥ 6 packets.
         assert!(cap.len() >= 6, "capture too small: {}", cap.len());
         let to_b = cap.iter().filter(|(_, p)| p.dst == B).count();
@@ -1394,7 +1424,8 @@ mod tests {
         net.start_capture(D);
         assert!(built(&net, D));
         assert!(connects(&mut net, D));
-        assert_eq!(net.stop_capture(D).len(), 3, "the handshake on D's tap");
+        let cap = pcap::parse_capture(&net.stop_capture(D)).unwrap().0;
+        assert_eq!(cap.len(), 3, "the handshake on D's tap");
     }
 
     #[test]
@@ -1503,12 +1534,15 @@ mod tests {
     /// the sockets the probe never opened are left out. A follow-up
     /// connect sends the same SYN, so the port and the ISS advanced
     /// alike. SYNs go out between host state changes and while they
-    /// fire, and hosts go down or away mid-sweep.
+    /// fire, and hosts go down or away mid-sweep. Every tap's bytes
+    /// equal `pcap::to_bytes` of their own parse: the tap writes what
+    /// the packet-list encoder writes, for traffic in both directions
+    /// under loss, corruption and the egress filter.
     #[test]
     fn ext_tcp_probe_matches_ext_tcp_connect() {
         let mut rng = proptest::test_rng("ext_tcp_probe_matches_ext_tcp_connect");
         let pool = probe_pool();
-        let (mut dark, mut woke) = (0, 0);
+        let (mut dark, mut woke, mut records) = (0, 0, 0);
         for case in 0..400 {
             let seed: u64 = rng.gen_range(0..u64::MAX);
             let mut oracle = probe_net(&mut StdRng::seed_from_u64(seed));
@@ -1579,11 +1613,12 @@ mod tests {
                 );
             }
             for &ip in pool.iter().chain([&A]) {
-                assert_eq!(
-                    net.stop_capture(ip),
-                    oracle.stop_capture(ip),
-                    "case {case}: capture at {ip}"
-                );
+                let cap = net.stop_capture(ip);
+                assert_eq!(cap, oracle.stop_capture(ip), "case {case}: capture at {ip}");
+                let (parsed, skipped) = pcap::parse_capture(&cap).unwrap();
+                assert_eq!(skipped, 0, "case {case}: capture at {ip}");
+                assert_eq!(pcap::to_bytes(&parsed), cap, "case {case}: tap at {ip}");
+                records += parsed.len();
             }
             assert_eq!(
                 net.rng().gen::<u64>(),
@@ -1602,10 +1637,11 @@ mod tests {
                 "case {case}"
             );
             let syn = net.stop_capture(A);
-            assert_eq!(syn.len(), 1);
+            assert_eq!(pcap::parse_capture(&syn).unwrap().0.len(), 1);
             assert_eq!(syn, oracle.stop_capture(A), "case {case}: follow-up SYN");
         }
         assert!(dark > 1_000, "the dark path ran {dark} times");
+        assert!(records > 1_000, "the taps recorded {records} packets");
         assert!(woke > 0, "no SYN reached a host that came up in flight");
     }
 

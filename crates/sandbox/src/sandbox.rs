@@ -110,7 +110,9 @@ pub struct CapturedExploit {
 pub struct Artifacts {
     /// Why the process stopped.
     pub exit: ExitReason,
-    /// Full packet capture at the bot's tap, as a pcap file.
+    /// Full packet capture at the bot's tap, as a pcap file: the bytes
+    /// the tap wrote during the run, handed over as they are. Readers
+    /// stream it with [`pcap::packets`].
     pub pcap: Vec<u8>,
     /// Exploit payloads the handshaker collected.
     pub exploits: Vec<CapturedExploit>,
@@ -126,12 +128,12 @@ pub struct Artifacts {
 }
 
 impl Artifacts {
-    /// Parse the capture into timestamped logical packets (convenience
-    /// for tests and the pipeline).
+    /// The capture decoded into one list of timestamped logical packets
+    /// ([`pcap::packets`] collected; none if its framing is bad), for
+    /// tests and examples. The pipeline streams [`Artifacts::pcap`]
+    /// instead.
     pub fn packets(&self) -> Vec<(u64, Packet)> {
-        pcap::parse_capture(&self.pcap)
-            .map(|(p, _)| p)
-            .unwrap_or_default()
+        pcap::packets(&self.pcap).collect()
     }
 }
 
@@ -237,10 +239,10 @@ impl Sandbox {
     }
 
     /// Attach a telemetry handle: `sandbox.exec` spans, instruction /
-    /// syscall / exploit counters, and the wrapped network's packet
-    /// counters all record into it. Telemetry never feeds back into the
-    /// run (no RNG draws, no virtual-clock reads), so an instrumented
-    /// sandbox produces byte-identical artifacts.
+    /// syscall / exploit counters, and the wrapped network's packet and
+    /// capture counters all record into it. Telemetry never feeds back
+    /// into the run (no RNG draws, no virtual-clock reads), so an
+    /// instrumented sandbox produces byte-identical artifacts.
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
         self.tel = tel.clone();
         self.tel_handles = SandboxTelemetry::resolve(tel);
@@ -378,17 +380,8 @@ impl Sandbox {
         // span's wall time instead.
         // Let in-flight packets land so captures include trailing ACKs.
         self.net.run_for(SimDuration::from_millis(500));
-        let cap = self.net.stop_capture(self.cfg.bot_ip);
+        let pcap = self.net.stop_capture(self.cfg.bot_ip);
         self.net.start_capture(self.cfg.bot_ip);
-        let mut pcap_bytes = Vec::new();
-        {
-            let mut w =
-                pcap::PcapWriter::with_telemetry(&mut pcap_bytes, &self.tel).expect("vec write");
-            for (ts, pkt) in &cap {
-                w.write(*ts, pkt).expect("vec write");
-            }
-            let _ = w.finish().expect("flush");
-        }
         let exploits: Vec<CapturedExploit> = self
             .victim_log
             .lock()
@@ -413,7 +406,7 @@ impl Sandbox {
         self.tel_handles.exploits.add(exploits.len() as u64);
         Artifacts {
             exit,
-            pcap: pcap_bytes,
+            pcap,
             exploits,
             dns_queries,
             instructions,
@@ -424,11 +417,10 @@ impl Sandbox {
 
     /// Dissolve the sandbox and return the network (with world hosts
     /// intact) to the caller. The hosts the sandbox installed go with
-    /// it: the bot, the fake resolver and every spawned fake, so a later
-    /// sandbox on the network installs its own.
+    /// it: the bot (and its idle capture), the fake resolver and every
+    /// spawned fake, so a later sandbox on the network installs its own.
     pub fn into_network(mut self) -> Network {
         self.net.clear_egress_filter();
-        let _ = self.net.stop_capture(self.cfg.bot_ip);
         self.net.remove_host(self.cfg.bot_ip);
         if self.owns_resolver {
             self.net.remove_host(FAKE_RESOLVER);

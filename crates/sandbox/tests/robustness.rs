@@ -8,8 +8,11 @@ use malnet_mips::asm::{Assembler, Ins, Reg};
 use malnet_mips::elf::{ElfFile, ElfSegment};
 use malnet_mips::sys;
 use malnet_netsim::net::Network;
+use malnet_netsim::services::SinkService;
 use malnet_netsim::time::{SimDuration, SimTime};
 use malnet_sandbox::{AnalysisMode, EmuFaults, ExitReason, Sandbox, SandboxConfig};
+use malnet_telemetry::Telemetry;
+use malnet_wire::pcap;
 
 fn sandbox() -> Sandbox {
     Sandbox::new(Network::new(SimTime::EPOCH, 1), SandboxConfig::default())
@@ -112,48 +115,41 @@ fn unknown_syscalls_fail_soft() {
     assert_eq!(art.exit, ExitReason::Exited(0));
 }
 
+/// A guest that opens one TCP connection to `ip:port` and exits 0.
+fn connect_guest(ip: Ipv4Addr, port: u16) -> Vec<u8> {
+    elf_from(vec![
+        // socket(AF_INET, SOCK_STREAM, 0)
+        Ins::Li(Reg::A0, sys::AF_INET),
+        Ins::Li(Reg::A1, sys::SOCK_STREAM),
+        Ins::Li(Reg::A2, 0),
+        Ins::Li(Reg::V0, sys::NR_SOCKET),
+        Ins::Syscall,
+        Ins::Move(Reg::S0, Reg::V0),
+        // build sockaddr for ip:port on the stack
+        Ins::Li(
+            Reg::T0,
+            u32::from(sys::AF_INET as u16) << 16 | u32::from(port),
+        ),
+        Ins::Sw(Reg::T0, Reg::SP, 32),
+        Ins::Li(Reg::T1, u32::from(ip)),
+        Ins::Sw(Reg::T1, Reg::SP, 36),
+        Ins::Move(Reg::A0, Reg::S0),
+        Ins::Addiu(Reg::A1, Reg::SP, 32),
+        Ins::Li(Reg::A2, 16),
+        Ins::Li(Reg::V0, sys::NR_CONNECT),
+        Ins::Syscall,
+        Ins::Li(Reg::A0, 0),
+        Ins::Li(Reg::V0, sys::NR_EXIT),
+        Ins::Syscall,
+    ])
+}
+
 #[test]
 fn weaponized_mode_redirects_every_connect() {
     // The guest connects to 1.2.3.4:9999; in weaponized mode the SYN must
     // appear on the wire toward the probe target instead.
     let target_ip = Ipv4Addr::new(10, 50, 0, 1);
-    let mut a = Assembler::new(0x0040_0000);
-    // socket(AF_INET, SOCK_STREAM, 0)
-    a.ins(Ins::Li(Reg::A0, sys::AF_INET))
-        .ins(Ins::Li(Reg::A1, sys::SOCK_STREAM))
-        .ins(Ins::Li(Reg::A2, 0))
-        .ins(Ins::Li(Reg::V0, sys::NR_SOCKET))
-        .ins(Ins::Syscall)
-        .ins(Ins::Move(Reg::S0, Reg::V0))
-        // build sockaddr for 1.2.3.4:9999 on the stack
-        .ins(Ins::Li(
-            Reg::T0,
-            u32::from(sys::AF_INET as u16) << 16 | 9999,
-        ))
-        .ins(Ins::Sw(Reg::T0, Reg::SP, 32))
-        .ins(Ins::Li(Reg::T1, u32::from(Ipv4Addr::new(1, 2, 3, 4))))
-        .ins(Ins::Sw(Reg::T1, Reg::SP, 36))
-        .ins(Ins::Move(Reg::A0, Reg::S0))
-        .ins(Ins::Addiu(Reg::A1, Reg::SP, 32))
-        .ins(Ins::Li(Reg::A2, 16))
-        .ins(Ins::Li(Reg::V0, sys::NR_CONNECT))
-        .ins(Ins::Syscall)
-        .ins(Ins::Li(Reg::A0, 0))
-        .ins(Ins::Li(Reg::V0, sys::NR_EXIT))
-        .ins(Ins::Syscall);
-    let text = a.assemble().unwrap();
-    let elf = ElfFile {
-        entry: 0x0040_0000,
-        segments: vec![ElfSegment {
-            vaddr: 0x0040_0000,
-            memsz: text.len() as u32,
-            data: text,
-            writable: false,
-            executable: true,
-            name: ".text",
-        }],
-    }
-    .write();
+    let elf = connect_guest(Ipv4Addr::new(1, 2, 3, 4), 9999);
     let mut sb = Sandbox::new(
         Network::new(SimTime::EPOCH, 2),
         SandboxConfig {
@@ -177,6 +173,52 @@ fn weaponized_mode_redirects_every_connect() {
             .any(|(_, p)| p.dst == Ipv4Addr::new(1, 2, 3, 4)),
         "original C2 must never be contacted"
     );
+}
+
+/// The capture counters count what the tap hands over. Summed over
+/// several runs on one sandbox, `wire.pcap_records_encoded` is the number
+/// of records in the runs' captures and `wire.pcap_bytes_encoded` their
+/// total length, with one 24-byte global header per run (a run without
+/// traffic adds the header alone). Dissolving the sandbox drops its idle
+/// capture uncounted.
+#[test]
+fn capture_counters_sum_each_runs_pcap() {
+    let server = Ipv4Addr::new(10, 50, 0, 1);
+    let mut net = Network::new(SimTime::EPOCH, 3);
+    net.add_service_host(server, Box::new(SinkService::new(vec![23])));
+    let tel = Telemetry::enabled();
+    let mut sb = Sandbox::new(net, SandboxConfig::default()).with_telemetry(&tel);
+    let connect = connect_guest(server, 23);
+    let quiet = elf_from(vec![
+        Ins::Li(Reg::A0, 0),
+        Ins::Li(Reg::V0, sys::NR_EXIT),
+        Ins::Syscall,
+    ]);
+    let (mut records, mut bytes, mut record_bytes) = (0, 0, 0);
+    for elf in [&connect, &quiet, &connect] {
+        let art = sb.execute(elf, SimDuration::from_secs(10));
+        let (packets, skipped) = pcap::parse_capture(&art.pcap).unwrap();
+        assert_eq!(skipped, 0);
+        records += packets.len() as u64;
+        bytes += art.pcap.len() as u64;
+        record_bytes += (packets.iter())
+            .map(|(_, p)| 16 + p.encode_frame().len() as u64)
+            .sum::<u64>();
+    }
+    assert!(
+        records >= 6,
+        "two handshakes on the tap, got {records} records"
+    );
+    assert_eq!(bytes, 3 * 24 + record_bytes, "one global header per run");
+    let counted = || {
+        (
+            tel.counter("wire.pcap_records_encoded").get(),
+            tel.counter("wire.pcap_bytes_encoded").get(),
+        )
+    };
+    assert_eq!(counted(), (records, bytes));
+    drop(sb.into_network());
+    assert_eq!(counted(), (records, bytes));
 }
 
 /// A guest that leaks sockets: loop opening TCP sockets until either 64

@@ -42,6 +42,5 @@ pub use icmp::IcmpMessage;
 pub use ipv4::{IpProtocol, Ipv4Header};
 pub use mac::MacAddr;
 pub use packet::{Packet, Transport};
-pub use pcap::PcapWriter;
 pub use tcp::{TcpFlags, TcpHeader};
 pub use udp::UdpHeader;

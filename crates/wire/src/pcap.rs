@@ -5,10 +5,22 @@
 //! format between the sandbox (which records all malware traffic, exactly
 //! as CnCHunter does) and the analysis pipeline (which trusts only file
 //! bytes, not simulator state).
-
-use std::io::{self, Write};
-
-use malnet_telemetry::Telemetry;
+//!
+//! A capture is written in place and read lazily, so no one holds it as
+//! a packet list:
+//!
+//! * [`new_capture`] starts a file with its global header, and
+//!   [`push_record`] appends one packet's record, encoding its frame
+//!   straight into the file. The netsim tap writes each packet it sees
+//!   through these two, and [`to_bytes`] is the same loop over a packet
+//!   list, so the two agree by construction.
+//! * [`Packets`] reads a capture back. It checks the framing of the whole
+//!   file first (global header, every record header and length), then
+//!   decodes one frame per item, skipping frames that fail to decode.
+//!   [`packets`] yields nothing for a capture whose framing is bad;
+//!   [`parse_capture`] collects the reader and reports that error.
+//!
+//! The record layout is written and walked only in this module.
 
 use crate::error::WireError;
 use crate::packet::Packet;
@@ -20,152 +32,154 @@ pub const LINKTYPE_ETHERNET: u32 = 1;
 /// Snap length we record: full packets, standard tcpdump default x4.
 pub const SNAPLEN: u32 = 262_144;
 
-/// Streaming pcap writer.
-pub struct PcapWriter<W: Write> {
-    inner: W,
-    packets_written: u64,
-    /// Frame buffer reused across [`PcapWriter::write`] calls.
-    frame_buf: Vec<u8>,
-    records_encoded: malnet_telemetry::Counter,
-    bytes_encoded: malnet_telemetry::Counter,
-}
-
 /// Size of the pcap global header in bytes.
 const GLOBAL_HEADER_LEN: usize = 24;
 /// Size of each per-record header in bytes.
 const RECORD_HEADER_LEN: usize = 16;
 
-impl<W: Write> PcapWriter<W> {
-    /// Create a writer and emit the global header.
-    pub fn new(inner: W) -> io::Result<Self> {
-        Self::with_telemetry(inner, &Telemetry::disabled())
-    }
+/// An empty capture file: the global header and no records.
+pub fn new_capture() -> Vec<u8> {
+    let mut out = Vec::with_capacity(GLOBAL_HEADER_LEN);
+    out.extend_from_slice(&MAGIC_LE.to_le_bytes());
+    out.extend_from_slice(&2u16.to_le_bytes()); // version major
+    out.extend_from_slice(&4u16.to_le_bytes()); // version minor
+    out.extend_from_slice(&0i32.to_le_bytes()); // thiszone
+    out.extend_from_slice(&0u32.to_le_bytes()); // sigfigs
+    out.extend_from_slice(&SNAPLEN.to_le_bytes());
+    out.extend_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
+    out
+}
 
-    /// Like [`PcapWriter::new`], but counting encoded records and bytes
-    /// into `wire.pcap_records_encoded` / `wire.pcap_bytes_encoded`.
-    pub fn with_telemetry(mut inner: W, tel: &Telemetry) -> io::Result<Self> {
-        inner.write_all(&MAGIC_LE.to_le_bytes())?;
-        inner.write_all(&2u16.to_le_bytes())?; // version major
-        inner.write_all(&4u16.to_le_bytes())?; // version minor
-        inner.write_all(&0i32.to_le_bytes())?; // thiszone
-        inner.write_all(&0u32.to_le_bytes())?; // sigfigs
-        inner.write_all(&SNAPLEN.to_le_bytes())?;
-        inner.write_all(&LINKTYPE_ETHERNET.to_le_bytes())?;
-        let bytes_encoded = tel.counter("wire.pcap_bytes_encoded");
-        bytes_encoded.add(GLOBAL_HEADER_LEN as u64);
-        Ok(PcapWriter {
-            inner,
-            packets_written: 0,
-            frame_buf: Vec::new(),
-            records_encoded: tel.counter("wire.pcap_records_encoded"),
-            bytes_encoded,
+/// Append one record to a capture started by [`new_capture`]: the record
+/// header, then the packet's Ethernet frame encoded in place.
+pub fn push_record(capture: &mut Vec<u8>, ts_micros: u64, packet: &Packet) {
+    let at = capture.len();
+    capture.extend_from_slice(&((ts_micros / 1_000_000) as u32).to_le_bytes());
+    capture.extend_from_slice(&((ts_micros % 1_000_000) as u32).to_le_bytes());
+    capture.extend_from_slice(&[0; 8]); // caplen and original length, set below
+    packet.encode_frame_into(capture);
+    let frame_len = ((capture.len() - at - RECORD_HEADER_LEN) as u32).to_le_bytes();
+    // Encode path: the record header was just appended at `at`. lint: index-ok
+    let header = &mut capture[at..at + RECORD_HEADER_LEN];
+    header[8..12].copy_from_slice(&frame_len);
+    header[12..16].copy_from_slice(&frame_len);
+}
+
+/// Serialize a packet list to a capture file.
+pub fn to_bytes(packets: &[(u64, Packet)]) -> Vec<u8> {
+    let mut out = new_capture();
+    for (ts, p) in packets {
+        push_record(&mut out, *ts, p);
+    }
+    out
+}
+
+/// The logical packets of a capture held in memory, in either byte
+/// order, decoded one frame per item. Frames that fail to decode are
+/// skipped and counted ([`Packets::skipped`]). The default reader is
+/// empty.
+#[derive(Debug, Clone, Default)]
+pub struct Packets<'a> {
+    /// The records not yet read, framing already checked.
+    records: &'a [u8],
+    swapped: bool,
+    skipped: usize,
+}
+
+impl<'a> Packets<'a> {
+    /// A reader over `bytes`, once its framing checks out: a truncated
+    /// global header, record header or record body, an unknown magic or
+    /// linktype, or a caplen above [`SNAPLEN`] fails the whole capture.
+    pub fn new(bytes: &'a [u8]) -> Result<Self, WireError> {
+        let (header, records) =
+            split_array::<GLOBAL_HEADER_LEN>(bytes).ok_or(truncated(GLOBAL_HEADER_LEN))?;
+        let swapped = match u32_at(header, 0, false) {
+            MAGIC_LE => false,
+            m if m == MAGIC_LE.swap_bytes() => true,
+            m => {
+                return Err(WireError::Unsupported {
+                    layer: "pcap",
+                    what: "magic",
+                    value: u64::from(m),
+                })
+            }
+        };
+        let linktype = u32_at(header, 20, swapped);
+        if linktype != LINKTYPE_ETHERNET {
+            return Err(WireError::Unsupported {
+                layer: "pcap",
+                what: "linktype",
+                value: u64::from(linktype),
+            });
+        }
+        let mut rest = records;
+        while !rest.is_empty() {
+            rest = split_record(rest, swapped)?.2;
+        }
+        Ok(Packets {
+            records,
+            swapped,
+            skipped: 0,
         })
     }
 
-    /// Append one captured frame.
-    pub fn write_packet(&mut self, ts_micros: u64, frame: &[u8]) -> io::Result<()> {
-        let secs = (ts_micros / 1_000_000) as u32;
-        let micros = (ts_micros % 1_000_000) as u32;
-        let mut header = [0u8; RECORD_HEADER_LEN];
-        header[0..4].copy_from_slice(&secs.to_le_bytes());
-        header[4..8].copy_from_slice(&micros.to_le_bytes());
-        header[8..12].copy_from_slice(&(frame.len() as u32).to_le_bytes());
-        header[12..16].copy_from_slice(&(frame.len() as u32).to_le_bytes());
-        self.inner.write_all(&header)?;
-        self.inner.write_all(frame)?;
-        self.packets_written += 1;
-        self.records_encoded.incr();
-        self.bytes_encoded
-            .add((RECORD_HEADER_LEN + frame.len()) as u64);
-        Ok(())
-    }
-
-    /// Serialize and append a logical packet, encoding its frame into a
-    /// buffer the writer reuses.
-    pub fn write(&mut self, ts_micros: u64, packet: &Packet) -> io::Result<()> {
-        let mut frame = std::mem::take(&mut self.frame_buf);
-        frame.clear();
-        packet.encode_frame_into(&mut frame);
-        let written = self.write_packet(ts_micros, &frame);
-        self.frame_buf = frame;
-        written
-    }
-
-    /// Number of packets written so far.
-    pub fn packets_written(&self) -> u64 {
-        self.packets_written
-    }
-
-    /// Flush and return the underlying writer.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.inner.flush()?;
-        Ok(self.inner)
+    /// Frames skipped so far because they did not decode.
+    pub fn skipped(&self) -> usize {
+        self.skipped
     }
 }
 
-/// In-memory convenience: serialize a packet list to pcap bytes.
-pub fn to_bytes(packets: &[(u64, Packet)]) -> Vec<u8> {
-    // io::Write on Vec<u8> is infallible. lint: panic-ok
-    let mut w = PcapWriter::new(Vec::new()).expect("vec write cannot fail");
-    for (ts, p) in packets {
-        // io::Write on Vec<u8> is infallible. lint: panic-ok
-        w.write(*ts, p).expect("vec write cannot fail");
-    }
-    // io::Write on Vec<u8> is infallible. lint: panic-ok
-    w.finish().expect("vec flush cannot fail")
-}
+impl Iterator for Packets<'_> {
+    type Item = (u64, Packet);
 
-/// Parse a full capture held in memory, in either byte order, into
-/// logical packets with timestamps, skipping frames that fail to parse
-/// (counted in `.1`). Records are walked over the borrowed bytes; a
-/// truncated record header or body, or a caplen above [`SNAPLEN`], fails
-/// the whole capture.
-pub fn parse_capture(bytes: &[u8]) -> Result<(Vec<(u64, Packet)>, usize), WireError> {
-    let (header, mut rest) =
-        split_array::<GLOBAL_HEADER_LEN>(bytes).ok_or(truncated(GLOBAL_HEADER_LEN))?;
-    let swapped = match u32_at(header, 0, false) {
-        MAGIC_LE => false,
-        m if m == MAGIC_LE.swap_bytes() => true,
-        m => {
-            return Err(WireError::Unsupported {
-                layer: "pcap",
-                what: "magic",
-                value: u64::from(m),
-            })
+    fn next(&mut self) -> Option<(u64, Packet)> {
+        while !self.records.is_empty() {
+            // The framing was checked in `Packets::new`, so this split
+            // cannot fail; if it did, the capture would simply end here.
+            let (ts, frame, rest) = split_record(self.records, self.swapped).ok()?;
+            self.records = rest;
+            match Packet::decode_frame(frame) {
+                Ok(p) => return Some((ts, p)),
+                Err(_) => self.skipped += 1,
+            }
         }
-    };
-    let linktype = u32_at(header, 20, swapped);
-    if linktype != LINKTYPE_ETHERNET {
-        return Err(WireError::Unsupported {
+        None
+    }
+}
+
+/// The packets of a capture, or none if its framing is bad (see
+/// [`Packets::new`]).
+pub fn packets(bytes: &[u8]) -> Packets<'_> {
+    Packets::new(bytes).unwrap_or_default()
+}
+
+/// Parse a full capture into timestamped logical packets, with the
+/// number of frames skipped because they did not decode: [`Packets`]
+/// collected.
+pub fn parse_capture(bytes: &[u8]) -> Result<(Vec<(u64, Packet)>, usize), WireError> {
+    let mut reader = Packets::new(bytes)?;
+    let packets = reader.by_ref().collect();
+    Ok((packets, reader.skipped()))
+}
+
+/// The first record of `records`: its timestamp (µs), its frame, and the
+/// records after it.
+fn split_record(records: &[u8], swapped: bool) -> Result<(u64, &[u8], &[u8]), WireError> {
+    let (header, body) =
+        split_array::<RECORD_HEADER_LEN>(records).ok_or(truncated(RECORD_HEADER_LEN))?;
+    let secs = u32_at(header, 0, swapped);
+    let micros = u32_at(header, 4, swapped);
+    let caplen = u32_at(header, 8, swapped) as usize;
+    if caplen > SNAPLEN as usize {
+        return Err(WireError::Malformed {
             layer: "pcap",
-            what: "linktype",
-            value: u64::from(linktype),
+            what: "caplen exceeds snaplen",
         });
     }
-    let mut out = Vec::new();
-    let mut skipped = 0usize;
-    while !rest.is_empty() {
-        let (record, body) =
-            split_array::<RECORD_HEADER_LEN>(rest).ok_or(truncated(RECORD_HEADER_LEN))?;
-        let secs = u32_at(record, 0, swapped);
-        let micros = u32_at(record, 4, swapped);
-        let caplen = u32_at(record, 8, swapped) as usize;
-        if caplen > SNAPLEN as usize {
-            return Err(WireError::Malformed {
-                layer: "pcap",
-                what: "caplen exceeds snaplen",
-            });
-        }
-        let (Some(frame), Some(tail)) = (body.get(..caplen), body.get(caplen..)) else {
-            return Err(truncated(caplen));
-        };
-        rest = tail;
-        match Packet::decode_frame(frame) {
-            Ok(p) => out.push((u64::from(secs) * 1_000_000 + u64::from(micros), p)),
-            Err(_) => skipped += 1,
-        }
-    }
-    Ok((out, skipped))
+    let (Some(frame), Some(rest)) = (body.get(..caplen), body.get(caplen..)) else {
+        return Err(truncated(caplen));
+    };
+    Ok((u64::from(secs) * 1_000_000 + u64::from(micros), frame, rest))
 }
 
 /// The first `N` bytes as an array, and the rest.
@@ -362,11 +376,42 @@ mod tests {
     }
 
     #[test]
-    fn packets_written_counter() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        for (ts, p) in sample_packets() {
-            w.write(ts, &p).unwrap();
+    fn push_record_appends_what_to_bytes_writes() {
+        let pkts = sample_packets();
+        let mut capture = new_capture();
+        assert_eq!(capture.len(), GLOBAL_HEADER_LEN);
+        for (ts, p) in &pkts {
+            let before = capture.len();
+            push_record(&mut capture, *ts, p);
+            assert_eq!(
+                capture.len() - before,
+                RECORD_HEADER_LEN + p.encode_frame().len()
+            );
         }
-        assert_eq!(w.packets_written(), 3);
+        assert_eq!(capture, to_bytes(&pkts));
+    }
+
+    #[test]
+    fn bad_framing_yields_no_packets() {
+        let mut bytes = to_bytes(&sample_packets());
+        assert_eq!(packets(&bytes).count(), 3);
+        // The last record loses a byte: the framing check rejects the
+        // whole capture before any frame is decoded.
+        bytes.pop();
+        assert!(Packets::new(&bytes).is_err());
+        assert_eq!(packets(&bytes).count(), 0);
+        assert_eq!(packets(&bytes[..10]).count(), 0);
+    }
+
+    #[test]
+    fn reader_counts_skipped_frames_as_it_goes() {
+        let pkts = sample_packets();
+        let bytes = with_record(to_bytes(&pkts[..1]), 30, &[0xffu8; 30]);
+        let bytes = with_record(bytes, 30, &[0xffu8; 30]);
+        let mut reader = Packets::new(&bytes).unwrap();
+        assert_eq!(reader.next(), Some(pkts[0].clone()));
+        assert_eq!(reader.skipped(), 0);
+        assert_eq!(reader.next(), None);
+        assert_eq!(reader.skipped(), 2);
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for the wire formats: arbitrary packets must
-//! round-trip bit-exactly through Ethernet frames and pcap files, and the
-//! checksums must bind the covered bytes.
+//! round-trip bit-exactly through Ethernet frames and pcap files, the
+//! checksums must bind the covered bytes, and the lazy pcap reader must
+//! yield what `parse_capture` collects on any input.
 
 use std::net::Ipv4Addr;
 
@@ -62,6 +63,17 @@ fn arb_transport() -> impl Strategy<Value = Transport> {
     ]
 }
 
+/// The lazy reader yields exactly the packets `parse_capture` collects,
+/// and none when `parse_capture` rejects the capture's framing.
+fn lazy_matches_collected(bytes: &[u8]) -> TestCaseResult {
+    let collected = pcap::parse_capture(bytes)
+        .map(|(p, _)| p)
+        .unwrap_or_default();
+    let lazy: Vec<(u64, Packet)> = pcap::packets(bytes).collect();
+    prop_assert_eq!(lazy, collected);
+    Ok(())
+}
+
 fn arb_packet() -> impl Strategy<Value = Packet> {
     (arb_ip(), arb_ip(), 1u8..=64, arb_transport()).prop_map(|(src, dst, ttl, transport)| Packet {
         src,
@@ -105,6 +117,7 @@ proptest! {
         let (parsed, skipped) = pcap::parse_capture(&bytes).unwrap();
         prop_assert_eq!(skipped, 0);
         prop_assert_eq!(parsed, pkts);
+        lazy_matches_collected(&bytes)?;
     }
 
     #[test]
@@ -141,6 +154,7 @@ proptest! {
     #[test]
     fn pcap_reader_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
         let _ = pcap::parse_capture(&bytes);
+        lazy_matches_collected(&bytes)?;
     }
 
     /// Chaos-layer contract: a capture cut short mid-record (a sandbox
@@ -159,6 +173,7 @@ proptest! {
                 prop_assert_eq!(got, want);
             }
         }
+        lazy_matches_collected(&bytes[..keep])?;
     }
 
     /// Chaos-layer contract: a single flipped bit anywhere in a valid
@@ -174,5 +189,6 @@ proptest! {
         let i = which.index(bytes.len());
         bytes[i] ^= 1 << bit;
         let _ = pcap::parse_capture(&bytes);
+        lazy_matches_collected(&bytes)?;
     }
 }

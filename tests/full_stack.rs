@@ -86,7 +86,7 @@ fn command_roundtrips_through_all_layers() {
             },
         );
         let art = sb.execute(&elf, SimDuration::from_secs(90));
-        let extracted = ddos::extract(&art.packets(), BOT, C2, Some(family), 100);
+        let extracted = ddos::extract(pcap::packets(&art.pcap), BOT, C2, Some(family), 100);
         let found = extracted
             .iter()
             .find(|e| e.command == command)
