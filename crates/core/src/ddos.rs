@@ -16,6 +16,10 @@
 //! target continuously"): a profiler command must be followed by actual
 //! flood traffic to the commanded target; a behavioural hit must find the
 //! target's bytes in the last command payload.
+//!
+//! A session may have several live C2s. [`extract_session`] walks its
+//! capture once for all of them and reads each C2's commands from that
+//! walk; [`extract`] is the same entry for a single C2.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -45,17 +49,14 @@ pub struct ExtractedCommand {
     pub ts_micros: u64,
 }
 
-/// Extract commands from a session capture.
+/// Extract commands from a session capture for one C2: the session
+/// entry [`extract_session`] called with the single pair `(c2_ip,
+/// family)`.
 ///
 /// `c2_ip` is the (already attributed) C2 address of this session;
 /// `bot_ip` the sandboxed device; `family` the sample's label (profilers
-/// exist for Mirai/Gafgyt/Daddyl33t only, as in the paper).
-///
-/// The capture is walked once ([`CaptureScan`]); command verification
-/// and flood characterization are lookups in what that walk built.
-/// `packets` is any stream of `(timestamp µs, packet)` pairs, owned or
-/// borrowed: the pipeline passes a capture's [`malnet_wire::pcap::packets`]
-/// as they are decoded, tests a `&Vec` of them.
+/// exist for Mirai/Gafgyt/Daddyl33t only, as in the paper). `packets` is
+/// any stream of `(timestamp µs, packet)` pairs, owned or borrowed.
 pub fn extract<P: Borrow<(u64, Packet)>>(
     packets: impl IntoIterator<Item = P>,
     bot_ip: Ipv4Addr,
@@ -63,94 +64,49 @@ pub fn extract<P: Borrow<(u64, Packet)>>(
     family: Option<Family>,
     pps_threshold: u64,
 ) -> Vec<ExtractedCommand> {
-    let scan = CaptureScan::new(packets, bot_ip, c2_ip);
-    let flood = |dst: Ipv4Addr| scan.floods.get(&dst);
-    let peak_pps = |dst: Ipv4Addr| flood(dst).map_or(0, |f| f.peak_pps);
+    extract_session(packets, bot_ip, &[(c2_ip, family)], pps_threshold)
+        .pop()
+        .unwrap_or_default()
+}
 
-    let mut out: Vec<ExtractedCommand> = Vec::new();
-
-    // --- method (a): protocol profiler ---
-    if let Some(fam) = family {
-        if fam.has_ddos_profile() {
-            let profiler = C2Profiler::new(fam);
-            for (ts, chunk) in &scan.c2_chunks {
-                for command in profiler.extract_commands(chunk) {
-                    // Verification: continuous traffic toward the target
-                    // after the command.
-                    let flood_after = flood(command.target).is_some_and(|f| f.max_ts > *ts);
-                    let pps = peak_pps(command.target);
-                    out.push(ExtractedCommand {
-                        command,
-                        detection: DdosDetection::Profiler,
-                        verified: flood_after,
-                        measured_pps: pps,
-                        ts_micros: *ts,
-                    });
-                }
-            }
-        }
-    }
-
-    // --- method (b): behavioural heuristic ---
-    for ((sec, dst), _) in scan
-        .per_sec
-        .iter()
-        .filter(|((_, _), n)| **n >= pps_threshold)
-        .take(1024)
-    {
-        // Already covered by the profiler?
-        if let Some(e) = out.iter_mut().find(|e| e.command.target == *dst) {
-            if e.detection == DdosDetection::Profiler {
-                e.detection = DdosDetection::Both;
-            }
-            continue;
-        }
-        // Find the last C2 payload before the flood second.
-        let flood_ts = sec * 1_000_000;
-        let Some((cmd_ts, payload)) = scan.c2_chunks.iter().rev().find(|(ts, _)| *ts <= flood_ts)
-        else {
-            continue;
-        };
-        // Verification: the target must appear (ASCII dotted or raw
-        // big-endian bytes) in that payload.
-        let ascii = dst.to_string();
-        let raw = dst.octets();
-        let mentions = contains(payload, ascii.as_bytes()) || contains(payload, &raw);
-        // Characterise the flood from the wire to synthesize the command
-        // (type recovery from traffic shape).
-        let (method, port, dur) = flood(*dst).copied().unwrap_or_default().characterize();
-        out.push(ExtractedCommand {
-            command: AttackCommand {
-                method,
-                target: *dst,
-                port,
-                duration_secs: dur,
-            },
-            detection: DdosDetection::Behavioral,
-            verified: mentions,
-            measured_pps: peak_pps(*dst),
-            ts_micros: *cmd_ts,
-        });
-    }
-
-    // Deduplicate repeated keepalive-window decodes of one command.
-    out.sort_by_key(|e| (e.ts_micros, e.command.target, e.command.port));
-    out.dedup_by(|a, b| a.command == b.command && a.ts_micros == b.ts_micros);
-    out
+/// Extract commands from a session capture for every `(c2_ip, family)`
+/// pair of the session, one command list per pair in pair order.
+///
+/// The capture is walked once ([`CaptureScan`]) for all pairs; each
+/// pair's commands are lookups in what that walk built, and equal what
+/// a walk for that pair alone would give. `packets` is any stream of
+/// `(timestamp µs, packet)` pairs, owned or borrowed: the pipeline
+/// passes a restricted session's [`malnet_wire::pcap::packets`] as they
+/// are decoded, tests a `&Vec` of them.
+pub fn extract_session<P: Borrow<(u64, Packet)>>(
+    packets: impl IntoIterator<Item = P>,
+    bot_ip: Ipv4Addr,
+    c2s: &[(Ipv4Addr, Option<Family>)],
+    pps_threshold: u64,
+) -> Vec<Vec<ExtractedCommand>> {
+    let scan = CaptureScan::new(packets, bot_ip, c2s);
+    c2s.iter()
+        .map(|&(c2_ip, family)| scan.commands(c2_ip, family, pps_threshold))
+        .collect()
 }
 
 fn contains(hay: &[u8], needle: &[u8]) -> bool {
     !needle.is_empty() && hay.windows(needle.len()).any(|w| w == needle)
 }
 
-/// What [`extract`] needs from a capture, built in one walk over it.
+/// One C2's non-empty C2→bot TCP payloads with their timestamps, in
+/// capture order.
+type Chunks = Vec<(u64, Vec<u8>)>;
+
+/// What [`extract_session`] needs from a capture, built in one walk
+/// over it for all of the session's C2s.
 struct CaptureScan {
-    /// Non-empty C2→bot TCP payloads with their timestamps, in capture
-    /// order.
-    c2_chunks: Vec<(u64, Vec<u8>)>,
-    /// Bot→non-C2 packets per `(second, destination)`.
+    /// Per distinct C2 address, its payloads.
+    c2_chunks: Vec<(Ipv4Addr, Chunks)>,
+    /// The bot's packets per `(second, destination)`, every destination
+    /// included: each C2 drops its own address when it reads the tally.
     per_sec: RunTally<(u64, Ipv4Addr), u64>,
-    /// The bot's traffic per destination, the C2 included.
+    /// The bot's traffic per destination, every destination included.
     floods: RunTally<Ipv4Addr, FloodStats>,
 }
 
@@ -158,19 +114,28 @@ impl CaptureScan {
     fn new<P: Borrow<(u64, Packet)>>(
         packets: impl IntoIterator<Item = P>,
         bot_ip: Ipv4Addr,
-        c2_ip: Ipv4Addr,
+        c2s: &[(Ipv4Addr, Option<Family>)],
     ) -> Self {
+        let mut c2_chunks: Vec<(Ipv4Addr, Chunks)> = Vec::new();
+        for &(c2_ip, _) in c2s {
+            if !c2_chunks.iter().any(|(ip, _)| *ip == c2_ip) {
+                c2_chunks.push((c2_ip, Vec::new()));
+            }
+        }
         let mut scan = CaptureScan {
-            c2_chunks: Vec::new(),
+            c2_chunks,
             per_sec: RunTally::default(),
             floods: RunTally::default(),
         };
         for item in packets {
             let (ts, p) = item.borrow();
-            if p.src == c2_ip && p.dst == bot_ip {
+            if p.dst == bot_ip {
                 if let Transport::Tcp { payload, .. } = &p.transport {
                     if !payload.is_empty() {
-                        scan.c2_chunks.push((*ts, payload.clone()));
+                        let c2 = scan.c2_chunks.iter_mut().find(|(ip, _)| *ip == p.src);
+                        if let Some((_, chunks)) = c2 {
+                            chunks.push((*ts, payload.clone()));
+                        }
                     }
                 }
             }
@@ -179,13 +144,105 @@ impl CaptureScan {
             }
             let flood = scan.floods.entry(p.dst);
             flood.add(*ts, &p.transport);
-            if p.dst != c2_ip {
-                let n = scan.per_sec.entry((ts / 1_000_000, p.dst));
-                *n += 1;
-                flood.peak_pps = flood.peak_pps.max(*n);
-            }
+            let n = scan.per_sec.entry((ts / 1_000_000, p.dst));
+            *n += 1;
+            flood.peak_pps = flood.peak_pps.max(*n);
         }
         scan
+    }
+
+    /// The commands of one C2 of the session.
+    fn commands(
+        &self,
+        c2_ip: Ipv4Addr,
+        family: Option<Family>,
+        pps_threshold: u64,
+    ) -> Vec<ExtractedCommand> {
+        let c2_chunks: &[(u64, Vec<u8>)] = self
+            .c2_chunks
+            .iter()
+            .find(|(ip, _)| *ip == c2_ip)
+            .map_or(&[], |(_, chunks)| chunks);
+        let flood = |dst: Ipv4Addr| self.floods.get(&dst);
+        // The C2's own traffic is the session, not a flood: not rated.
+        let peak_pps = |dst: Ipv4Addr| {
+            if dst == c2_ip {
+                0
+            } else {
+                flood(dst).map_or(0, |f| f.peak_pps)
+            }
+        };
+
+        let mut out: Vec<ExtractedCommand> = Vec::new();
+
+        // --- method (a): protocol profiler ---
+        if let Some(fam) = family {
+            if fam.has_ddos_profile() {
+                let profiler = C2Profiler::new(fam);
+                for (ts, chunk) in c2_chunks {
+                    for command in profiler.extract_commands(chunk) {
+                        // Verification: continuous traffic toward the
+                        // target after the command.
+                        let flood_after = flood(command.target).is_some_and(|f| f.max_ts > *ts);
+                        let pps = peak_pps(command.target);
+                        out.push(ExtractedCommand {
+                            command,
+                            detection: DdosDetection::Profiler,
+                            verified: flood_after,
+                            measured_pps: pps,
+                            ts_micros: *ts,
+                        });
+                    }
+                }
+            }
+        }
+
+        // --- method (b): behavioural heuristic, over non-C2 destinations ---
+        for ((sec, dst), _) in self
+            .per_sec
+            .iter()
+            .filter(|((_, dst), n)| *dst != c2_ip && **n >= pps_threshold)
+            .take(1024)
+        {
+            // Already covered by the profiler?
+            if let Some(e) = out.iter_mut().find(|e| e.command.target == *dst) {
+                if e.detection == DdosDetection::Profiler {
+                    e.detection = DdosDetection::Both;
+                }
+                continue;
+            }
+            // Find the last C2 payload before the flood second.
+            let flood_ts = sec * 1_000_000;
+            let Some((cmd_ts, payload)) = c2_chunks.iter().rev().find(|(ts, _)| *ts <= flood_ts)
+            else {
+                continue;
+            };
+            // Verification: the target must appear (ASCII dotted or raw
+            // big-endian bytes) in that payload.
+            let ascii = dst.to_string();
+            let raw = dst.octets();
+            let mentions = contains(payload, ascii.as_bytes()) || contains(payload, &raw);
+            // Characterise the flood from the wire to synthesize the
+            // command (type recovery from traffic shape).
+            let (method, port, dur) = flood(*dst).copied().unwrap_or_default().characterize();
+            out.push(ExtractedCommand {
+                command: AttackCommand {
+                    method,
+                    target: *dst,
+                    port,
+                    duration_secs: dur,
+                },
+                detection: DdosDetection::Behavioral,
+                verified: mentions,
+                measured_pps: peak_pps(*dst),
+                ts_micros: *cmd_ts,
+            });
+        }
+
+        // Deduplicate repeated keepalive-window decodes of one command.
+        out.sort_by_key(|e| (e.ts_micros, e.command.target, e.command.port));
+        out.dedup_by(|a, b| a.command == b.command && a.ts_micros == b.ts_micros);
+        out
     }
 }
 
@@ -251,8 +308,7 @@ struct FloodStats {
     icmp: u64,
     /// Destination port of the last TCP or UDP packet.
     port: u16,
-    /// Peak packets per second (0 for the C2, whose traffic is not
-    /// rated).
+    /// Peak packets per second.
     peak_pps: u64,
 }
 
@@ -418,6 +474,93 @@ mod tests {
         // Without any C2 payload there is nothing to attribute, so even
         // above threshold nothing is reported.
         assert!(extract(&pkts, BOT, C2, None, 100).is_empty());
+    }
+
+    /// The bot floods its own C2 above threshold in 1100 seconds, more
+    /// than the heuristic's 1024-entry cap, and another target in one
+    /// later second. The C2's entries are dropped before the cap, so the
+    /// target is still found; the C2's own peak rates as 0.
+    #[test]
+    fn own_c2_leaves_the_cap_and_rates_zero() {
+        let own = AttackCommand {
+            target: C2,
+            ..cmd()
+        };
+        let mut pkts = vec![(
+            500_000,
+            Packet::tcp(
+                C2,
+                23,
+                BOT,
+                40000,
+                1,
+                1,
+                TcpFlags::PSH_ACK,
+                mirai::encode_command(&own).unwrap(),
+            ),
+        )];
+        for s in 1..=1100u64 {
+            for k in 0..3 {
+                pkts.push((s * 1_000_000 + k, Packet::udp(BOT, 4444, C2, 80, vec![0])));
+            }
+        }
+        for k in 0..3 {
+            pkts.push((1_050_000_000 + k, Packet::udp(BOT, 4444, TGT, 53, vec![0])));
+        }
+        let cmds = extract(&pkts, BOT, C2, Some(Family::Mirai), 3);
+        let want = [
+            ExtractedCommand {
+                command: own,
+                detection: DdosDetection::Profiler,
+                verified: true,
+                measured_pps: 0,
+                ts_micros: 500_000,
+            },
+            ExtractedCommand {
+                command: AttackCommand {
+                    method: AttackMethod::UdpFlood,
+                    target: TGT,
+                    port: 53,
+                    duration_secs: 1,
+                },
+                detection: DdosDetection::Behavioral,
+                verified: false,
+                measured_pps: 3,
+                ts_micros: 500_000,
+            },
+        ];
+        assert_eq!(cmds, want);
+
+        // A second C2 in the same session reads the first one's address
+        // as a flood target like any other: its seconds fill that C2's
+        // cap, so the later target is past it. The first C2's commands
+        // are as they were.
+        let other = Ipv4Addr::new(10, 1, 0, 6);
+        let ping = Packet::tcp(
+            other,
+            23,
+            BOT,
+            40001,
+            1,
+            1,
+            TcpFlags::PSH_ACK,
+            b"ping".to_vec(),
+        );
+        pkts.push((700_000, ping));
+        let session = extract_session(&pkts, BOT, &[(other, None), (C2, Some(Family::Mirai))], 3);
+        let other_cmds = vec![ExtractedCommand {
+            command: AttackCommand {
+                method: AttackMethod::UdpFlood,
+                target: C2,
+                port: 80,
+                duration_secs: 1100,
+            },
+            detection: DdosDetection::Behavioral,
+            verified: false,
+            measured_pps: 3,
+            ts_micros: 700_000,
+        }];
+        assert_eq!(session, [other_cmds, want.to_vec()]);
     }
 
     trait PipeTs {

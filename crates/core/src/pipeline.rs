@@ -1240,12 +1240,16 @@ fn run_restricted_batch(
             )
         };
         let _eavesdrop_span = tel.span_under("pipeline.ddos_eavesdrop", &parent);
+        // One walk of the capture serves every live C2 of the session.
+        let c2s: Vec<(Ipv4Addr, Option<Family>)> =
+            job.live.iter().map(|(_, ip, _, fam)| (*ip, *fam)).collect();
+        let packets = pcap::packets(&session.pcap);
+        let commands = ddos::extract_session(packets, BOT_IP, &c2s, opts.pps_threshold);
         let evidence = job
             .live
             .iter()
-            .map(|(addr, ip, _port, fam)| {
-                let packets = pcap::packets(&session.pcap);
-                let cmds = ddos::extract(packets, BOT_IP, *ip, *fam, opts.pps_threshold);
+            .zip(commands)
+            .map(|((addr, ip, _port, fam), cmds)| {
                 tel.add("pipeline.ddos_commands_seen", cmds.len() as u64);
                 (addr.clone(), *ip, *fam, cmds)
             })

@@ -1,13 +1,14 @@
-//! The one-pass `ddos::extract` against the two-pass extractor it
-//! replaced, kept here verbatim as the oracle.
+//! The one-pass `ddos::extract` and `ddos::extract_session` against the
+//! two-pass extractor they replaced, kept here verbatim as the oracle.
 //!
 //! Sessions are generated with several C2s, profiler-decodable and
 //! free-text commands, floods of every shape toward targets that
 //! include a C2 itself, background noise, and timestamps that are
 //! shuffled out of order. Every (C2, family, threshold) extraction must
-//! come out identical, both over the borrowed packet list and over the
-//! owned packets streamed from the list's pcap encoding, as the pipeline
-//! reads a restricted session's capture.
+//! come out identical, both from `extract` over the borrowed packet
+//! list and from one `extract_session` walk for all of the session's
+//! C2s over the owned packets streamed from the list's pcap encoding,
+//! as the pipeline reads a restricted session's capture.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -385,7 +386,9 @@ proptest! {
     /// One-pass extraction equals the two-pass oracle for every C2 of
     /// the session, every family (profiled or not) and threshold, on
     /// captures whose timestamps are shuffled out of order, whether it
-    /// borrows the packets or streams them from pcap bytes.
+    /// borrows the packets for one C2 or streams them from pcap bytes
+    /// for all of the session's C2s at once (one C2 twice, under two
+    /// families).
     #[test]
     fn one_pass_extract_matches_two_pass_oracle(
         events in proptest::collection::vec(arb_event(), 1..12),
@@ -414,14 +417,19 @@ proptest! {
             None,
         ];
         let capture = pcap::to_bytes(&pkts);
-        for c2 in C2S {
-            for family in families {
-                for pps in [1u64, 100] {
+        for (i, family) in families.into_iter().enumerate() {
+            for pps in [1u64, 100] {
+                // Every C2 of the session, and the first one again under
+                // another family, in one walk of the streamed capture.
+                let mut pairs: Vec<_> = C2S.iter().map(|&c2| (c2, family)).collect();
+                pairs.push((C2S[0], families[(i + 1) % families.len()]));
+                let session = ddos::extract_session(pcap::packets(&capture), BOT, &pairs, pps);
+                prop_assert_eq!(session.len(), pairs.len());
+                for (&(c2, family), streamed) in pairs.iter().zip(session) {
                     let want = extract(&pkts, BOT, c2, family, pps);
                     let got = ddos::extract(&pkts, BOT, c2, family, pps);
                     prop_assert_eq!(&got, &want, "c2 {} family {:?} pps {}", c2, family, pps);
-                    let streamed = ddos::extract(pcap::packets(&capture), BOT, c2, family, pps);
-                    prop_assert_eq!(streamed, want, "streamed: c2 {} family {:?} pps {}", c2, family, pps);
+                    prop_assert_eq!(streamed, want, "session: c2 {} family {:?} pps {}", c2, family, pps);
                 }
             }
         }

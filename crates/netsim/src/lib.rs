@@ -36,6 +36,7 @@
 
 pub mod asdb;
 pub mod dns;
+mod hash;
 pub mod net;
 mod queue;
 pub mod services;

@@ -31,6 +31,7 @@ use malnet_prng::{Rng, SeedableRng};
 
 use malnet_wire::{pcap, Packet};
 
+use crate::hash::FixedState;
 use crate::queue::{EventKind, EventQueue, QueuedEvent};
 use crate::stack::{HostStack, SockEvent, SockId};
 use crate::time::{SimDuration, SimTime};
@@ -229,9 +230,9 @@ pub struct NetStats {
 pub struct Network {
     now: SimTime,
     queue: EventQueue,
-    // Point queries by IP only; event order comes from the queue, never
-    // from host-table iteration. lint: hash-ok
-    hosts: HashMap<Ipv4Addr, HostEntry>,
+    // Point queries by IP only, several per packet; event order comes
+    // from the queue, never from host-table iteration. lint: hash-ok
+    hosts: HashMap<Ipv4Addr, HostEntry, FixedState>,
     /// Declares the hosts not yet in `hosts`; see [`HostSource`].
     source: Option<Box<dyn HostSource + Send>>,
     /// Declared addresses whose host was removed: they stay empty.
@@ -302,7 +303,7 @@ impl Network {
         Network {
             now: start,
             queue: EventQueue::default(),
-            hosts: HashMap::new(), // lookup-only, see field. lint: hash-ok
+            hosts: HashMap::default(), // lookup-only, see field. lint: hash-ok
             source: None,
             removed: Vec::new(),
             pending_state: BTreeMap::new(),
@@ -606,6 +607,13 @@ impl Network {
         }
     }
 
+    /// The stack of the external host at `ip`.
+    fn external_stack(&mut self, ip: Ipv4Addr) -> &mut HostStack {
+        let host = self.hosts.get_mut(&ip).expect("external host exists");
+        debug_assert!(matches!(host.driver, Driver::External(_)));
+        &mut host.stack
+    }
+
     /// Perform socket operations on an external host. Packets generated by
     /// the operations are transmitted; connect timeouts are armed
     /// automatically.
@@ -614,9 +622,7 @@ impl Network {
         ip: Ipv4Addr,
         f: impl FnOnce(&mut HostStack) -> (R, Vec<Packet>),
     ) -> R {
-        let host = self.hosts.get_mut(&ip).expect("external host exists");
-        debug_assert!(matches!(host.driver, Driver::External(_)));
-        let (r, pkts) = f(&mut host.stack);
+        let (r, pkts) = f(self.external_stack(ip));
         for pkt in pkts {
             self.send_packet(pkt);
         }
@@ -625,9 +631,7 @@ impl Network {
 
     /// Active-open from an external host, arming the SYN timeout.
     pub fn ext_tcp_connect(&mut self, ip: Ipv4Addr, dst: Ipv4Addr, dport: u16) -> SockId {
-        let host = self.hosts.get_mut(&ip).expect("external host exists");
-        debug_assert!(matches!(host.driver, Driver::External(_)));
-        let (sock, syn) = host.stack.tcp_connect(dst, dport);
+        let (sock, syn) = self.external_stack(ip).tcp_connect(dst, dport);
         self.send_packet(syn);
         let at = self.now + CONNECT_TIMEOUT;
         self.queue
@@ -655,9 +659,7 @@ impl Network {
         if self.host_up(dst) || self.pending_state.contains_key(&dst) {
             return (self.ext_tcp_connect(ip, dst, dport), true);
         }
-        let host = self.hosts.get_mut(&ip).expect("external host exists");
-        debug_assert!(matches!(host.driver, Driver::External(_)));
-        let (sock, syn) = host.stack.tcp_syn(dst, dport);
+        let (sock, syn) = self.external_stack(ip).tcp_syn(dst, dport);
         if self.transmit(syn).is_some() {
             self.stats.blackholed += 1;
             self.tel.dropped.incr();
@@ -697,10 +699,8 @@ impl Network {
         dport: u16,
         data: Vec<u8>,
     ) {
-        self.with_external(ip, |s| {
-            let p = s.udp_send(sport, dst, dport, data);
-            ((), vec![p])
-        });
+        let pkt = self.external_stack(ip).udp_send(sport, dst, dport, data);
+        self.send_packet(pkt);
     }
 
     /// Send a raw packet from an external host (attack traffic with crafted
@@ -710,10 +710,11 @@ impl Network {
         self.send_packet(pkt);
     }
 
-    /// Drain the event inbox of an external host.
+    /// Drain the event inbox of an external host. An empty inbox returns
+    /// at once, with nothing allocated.
     pub fn ext_events(&mut self, ip: Ipv4Addr) -> Vec<SockEvent> {
         match self.hosts.get_mut(&ip).map(|h| &mut h.driver) {
-            Some(Driver::External(q)) => q.drain(..).collect(),
+            Some(Driver::External(q)) if !q.is_empty() => q.drain(..).collect(),
             _ => Vec::new(),
         }
     }

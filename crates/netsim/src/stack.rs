@@ -14,6 +14,7 @@ use malnet_wire::icmp::IcmpMessage;
 use malnet_wire::packet::{Packet, Transport};
 use malnet_wire::tcp::TcpFlags;
 
+use crate::hash::FixedState;
 use crate::tcp::{TcpConn, TcpEvent, TcpState};
 
 /// Opaque socket identifier, unique within one host.
@@ -126,7 +127,7 @@ pub struct HostStack {
     udp_binds: BTreeSet<u16>,
     conns: BTreeMap<ConnKey, (SockId, TcpConn)>,
     // Point queries by socket id only; nothing iterates it. lint: hash-ok
-    by_sock: HashMap<SockId, ConnKey>,
+    by_sock: HashMap<SockId, ConnKey, FixedState>,
     /// When true, closed UDP ports elicit ICMP port-unreachable and closed
     /// TCP ports elicit RST (a "live host"). When false the stack is
     /// silent, which the network uses to model firewalled hosts.
@@ -144,7 +145,7 @@ impl HostStack {
             listeners: BTreeSet::new(),
             udp_binds: BTreeSet::new(),
             conns: BTreeMap::new(),
-            by_sock: HashMap::new(), // lookup-only, see field. lint: hash-ok
+            by_sock: HashMap::default(), // lookup-only, see field. lint: hash-ok
             responds_when_closed: true,
         }
     }

@@ -266,24 +266,17 @@ impl Sandbox {
     /// Policy hook for guest TCP connects. Returns the (possibly
     /// rewritten) destination, or `None` to refuse outright.
     pub(crate) fn prepare_tcp_dest(&mut self, dst: Ipv4Addr, port: u16) -> Option<(Ipv4Addr, u16)> {
-        match self.cfg.mode.clone() {
-            AnalysisMode::Weaponized { target } => {
-                // All C2-bound traffic goes to the probe target instead.
-                Some(target)
-            }
-            AnalysisMode::Contained => {
-                self.note_contact(dst, port);
-                self.maybe_spawn_fake(dst, port);
-                Some((dst, port))
-            }
-            AnalysisMode::Restricted { allowed } => {
-                self.note_contact(dst, port);
-                if !allowed.contains(&dst) {
-                    self.maybe_spawn_fake(dst, port);
-                }
-                Some((dst, port))
-            }
+        let contained = match &self.cfg.mode {
+            // All C2-bound traffic goes to the probe target instead.
+            AnalysisMode::Weaponized { target } => return Some(*target),
+            AnalysisMode::Contained => true,
+            AnalysisMode::Restricted { allowed } => !allowed.contains(&dst),
+        };
+        self.note_contact(dst, port);
+        if contained {
+            self.maybe_spawn_fake(dst, port);
         }
+        Some((dst, port))
     }
 
     /// Policy hook for guest UDP destinations: reroute DNS to the fake
