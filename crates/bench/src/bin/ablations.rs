@@ -9,10 +9,9 @@
 
 use malnet_bench::parse_args;
 use malnet_botgen::world::{Calibration, World, WorldConfig};
-use malnet_core::prober::{run_probing, ProbeConfig};
+use malnet_core::prober::{self, run_probing, ProbeConfig};
 use malnet_core::{Pipeline, PipelineOpts};
 use malnet_intel::engines::EngineModel;
-use malnet_protocols::Family;
 
 fn main() {
     let opts = parse_args();
@@ -77,18 +76,7 @@ fn main() {
     );
 
     println!("\n== Ablation 3: probe cadence (paper: 6/day = 4 h) ==");
-    let weapons: Vec<Vec<u8>> = [Family::Mirai, Family::Gafgyt]
-        .iter()
-        .filter_map(|f| {
-            world
-                .samples
-                .iter()
-                .find(|s| {
-                    s.family == *f && !s.corrupted && s.spec.exploits.is_empty() && !s.spec.evasive
-                })
-                .map(|s| s.elf.clone())
-        })
-        .collect();
+    let weapons = prober::weapons(&world);
     println!(
         "{:>12} {:>8} {:>10} {:>16}",
         "probes/day", "servers", "responses", "resp/probe-day"

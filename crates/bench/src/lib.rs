@@ -56,7 +56,7 @@ impl Default for RunOpts {
 const USAGE: &str = "usage: [--samples N] [--seed S] [--fast]";
 
 /// Parse `--samples N --seed S --fast` from argv; on an unknown flag or
-/// a missing or malformed value, print the error and [`USAGE`] and
+/// a missing or malformed value, print the error and the usage line and
 /// exit 2.
 pub fn parse_args() -> RunOpts {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -102,7 +102,6 @@ pub struct C2Service {
     last_engaged: bool,
     timers: BTreeMap<u64, (SockId, usize)>,
     next_timer: u64,
-    commands_scheduled: bool,
 }
 
 impl C2Service {
@@ -116,7 +115,6 @@ impl C2Service {
             last_engaged: false,
             timers: BTreeMap::new(),
             next_timer: 1,
-            commands_scheduled: false,
         }
     }
 
@@ -216,9 +214,7 @@ impl Service for C2Service {
                         .logins
                         .push((ctx.now.as_micros(), data.clone()));
                     // Engagement draw on first protocol bytes.
-                    let mut sessions = std::mem::take(&mut self.sessions);
                     let engaged = self.draw_engage(ctx);
-                    self.sessions = std::mem::take(&mut sessions);
                     let session = self.sessions.get_mut(&sock).expect("session exists");
                     session.engaged = engaged;
                     self.log
@@ -232,7 +228,6 @@ impl Service for C2Service {
                         // Every engaged session receives the day's
                         // command schedule; the analysis side counts each
                         // distinct command once (as the paper does).
-                        let _ = self.commands_scheduled;
                         for (i, (delay, _)) in self.cfg.commands_on_login.iter().enumerate() {
                             let token = self.next_timer;
                             self.next_timer += 1;

@@ -29,7 +29,7 @@ use malnet_prng::seq::SliceRandom;
 use malnet_prng::{Rng, SeedableRng};
 
 use malnet_netsim::asdb::{standard_internet, AsDb, AsKind, Asn, Prefix};
-use malnet_netsim::dns::{DnsHandle, DnsService};
+use malnet_netsim::dns::DnsService;
 use malnet_netsim::net::{HostSource, Network, Service};
 use malnet_netsim::services::{BannerService, HttpFileServer, SinkService};
 use malnet_netsim::time::{days_of_study_week, SimDuration, SimTime, STUDY_WEEKS};
@@ -948,13 +948,7 @@ impl HostSource for DayHosts {
     fn build(&self, ip: Ipv4Addr) -> Box<dyn Service + Send> {
         let roster = &*self.roster;
         match roster.residents.get(&ip).expect("declared host") {
-            Resident::Resolver => {
-                let zone = DnsHandle::new();
-                for (name, host) in &roster.zone {
-                    zone.set(name.clone(), vec![*host]);
-                }
-                Box::new(DnsService::new(zone))
-            }
+            Resident::Resolver => Box::new(DnsService::zone(roster.zone.iter().cloned())),
             Resident::C2(id) => {
                 let c2 = &roster.c2s[*id];
                 let commands = roster

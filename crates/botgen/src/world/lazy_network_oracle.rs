@@ -17,15 +17,11 @@ use super::*;
 /// else lives.
 fn eager_network(w: &World, day: u32, seed: u64) -> Network {
     let mut net = Network::new(SimTime::from_day(day, 0), seed ^ u64::from(day) << 17);
-    let zone = DnsHandle::new();
-    for c2 in &w.c2s {
-        if let C2Endpoint::Domain(d) = &c2.endpoint {
-            if let Ok(name) = DomainName::new(d) {
-                zone.set(name, vec![c2.host_ip]);
-            }
-        }
-    }
-    net.add_service_host(WORLD_RESOLVER, Box::new(DnsService::new(zone)));
+    let zone = w.c2s.iter().filter_map(|c2| match &c2.endpoint {
+        C2Endpoint::Domain(d) => Some((DomainName::new(d).ok()?, c2.host_ip)),
+        C2Endpoint::Ip(_) => None,
+    });
+    net.add_service_host(WORLD_RESOLVER, Box::new(DnsService::zone(zone)));
     for c2 in &w.c2s {
         let commands = w
             .attack_schedule

@@ -16,6 +16,7 @@ use malnet_netsim::net::Network;
 use malnet_netsim::time::{SimDuration, SimTime};
 use malnet_protocols::Family;
 use malnet_sandbox::{AnalysisMode, Sandbox, SandboxConfig};
+use malnet_wire::dns::DnsMessage;
 use malnet_wire::packet::Transport;
 
 const C2_IP: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 5);
@@ -36,6 +37,23 @@ fn mirai_spec() -> BehaviorSpec {
         recv_timeout_ms: 5_000,
         ..Default::default()
     }
+}
+
+/// The DNS messages in a run's capture, with the address that sent
+/// each: the bot's questions and its resolver's answers, read from the
+/// wire as the pipeline's C2 detection reads them.
+fn dns_messages(art: &malnet_sandbox::Artifacts) -> Vec<(Ipv4Addr, DnsMessage)> {
+    art.packets()
+        .into_iter()
+        .filter_map(|(_, p)| match p.transport {
+            Transport::Udp { header, payload }
+                if header.src_port == 53 || header.dst_port == 53 =>
+            {
+                Some((p.src, DnsMessage::decode(&payload).ok()?))
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 fn run_contained(spec: &BehaviorSpec, secs: u64, threshold: usize) -> malnet_sandbox::Artifacts {
@@ -96,10 +114,13 @@ fn dns_configured_sample_queries_and_follows_wildcard_answer() {
     let mut spec = mirai_spec();
     spec.c2 = vec![(C2Endpoint::Domain("cnc.botnet.example".into()), 6667)];
     let art = run_contained(&spec, 30, 1000);
+    let bot = SandboxConfig::default().bot_ip;
+    let dns = dns_messages(&art);
     assert!(
-        art.dns_queries.iter().any(|q| q == "cnc.botnet.example"),
-        "{:?}",
-        art.dns_queries
+        dns.iter().any(|(src, m)| *src == bot
+            && !m.is_response
+            && m.question.as_str() == "cnc.botnet.example"),
+        "{dns:?}"
     );
     // After the wildcard answer, the bot must SYN the sinkhole address.
     let packets = art.packets();
@@ -419,13 +440,12 @@ fn self_patching_elf() -> Vec<u8> {
 }
 
 /// What a caller reads from a run.
-fn observed(art: &Artifacts) -> (ExitReason, &[u8], u64, u64, &[String], usize) {
+fn observed(art: &Artifacts) -> (ExitReason, &[u8], u64, u64, usize) {
     (
         art.exit.clone(),
         &art.pcap,
         art.instructions,
         art.syscalls,
-        &art.dns_queries,
         art.exploits.len(),
     )
 }
@@ -486,17 +506,17 @@ fn runs_from_one_image_equal_fresh_loads() {
 }
 
 /// Sandboxes run one after another on one network (the prober's
-/// engagement pattern) each log their own bot's DNS queries: a sandbox
-/// takes the fake resolver it installed with it, so the next installs
-/// one that logs for the next.
+/// engagement pattern) each answer their own bot's DNS queries: a
+/// sandbox takes the fake resolver it installed with it, so the next
+/// installs its own, and each capture holds that resolver's answer.
 #[test]
 fn sandboxes_on_a_reused_network_each_see_their_dns_queries() {
+    use malnet_sandbox::sandbox::FAKE_RESOLVER;
     let mut spec = mirai_spec();
     spec.c2 = vec![(C2Endpoint::Domain("cnc.dark.example".into()), 23)];
     spec.exploits.clear();
     let elf = emit_elf(&compile(&spec), b"dns");
     let mut net = Network::new(SimTime::EPOCH, 5);
-    let mut queries = Vec::new();
     for seed in 0..2 {
         let mut sb = Sandbox::new(
             net,
@@ -509,11 +529,14 @@ fn sandboxes_on_a_reused_network_each_see_their_dns_queries() {
                 ..Default::default()
             },
         );
-        queries.push(sb.execute(&elf, SimDuration::from_secs(20)).dns_queries);
+        let dns = dns_messages(&sb.execute(&elf, SimDuration::from_secs(20)));
+        assert!(
+            dns.iter().any(|(src, m)| *src == FAKE_RESOLVER
+                && m.is_response
+                && m.question.as_str() == "cnc.dark.example"),
+            "seed {seed}: {dns:?}"
+        );
         net = sb.into_network();
+        assert!(!net.has_host(FAKE_RESOLVER), "seed {seed}");
     }
-    for q in &queries {
-        assert!(q.iter().any(|n| n == "cnc.dark.example"), "{queries:?}");
-    }
-    assert!(!net.has_host(malnet_sandbox::sandbox::FAKE_RESOLVER));
 }

@@ -212,7 +212,6 @@ mod tests {
             exit: malnet_sandbox::ExitReason::Exited(0),
             pcap: malnet_wire::pcap::to_bytes(&[]),
             exploits: vec![],
-            dns_queries: vec![],
             instructions: 0,
             syscalls: 0,
             emu_faults: malnet_sandbox::EmuFaultTally::default(),

@@ -72,7 +72,7 @@ pub fn extract<P: Borrow<(u64, Packet)>>(
 /// Extract commands from a session capture for every `(c2_ip, family)`
 /// pair of the session, one command list per pair in pair order.
 ///
-/// The capture is walked once ([`CaptureScan`]) for all pairs; each
+/// The capture is walked once (`CaptureScan`) for all pairs; each
 /// pair's commands are lookups in what that walk built, and equal what
 /// a walk for that pair alone would give. `packets` is any stream of
 /// `(timestamp µs, packet)` pairs, owned or borrowed: the pipeline

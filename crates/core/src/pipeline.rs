@@ -23,7 +23,7 @@
 //! Days no longer execute as one sequential walk. The study plan (which
 //! sample runs on which day) is computed up front, partitioned into
 //! [`PipelineOpts::day_shards`] contiguous day-ranges ("epochs"), and
-//! each epoch runs as an independent unit over [`crate::par::fan_out`]:
+//! each epoch runs as an independent unit over `crate::par::fan_out`:
 //! phase A (contained activation), phase B (world-effect merge +
 //! restricted sessions) and the epoch's own [`VendorDb`] knowledge delta
 //! and [`Datasets`] slice, all pure functions of `(world, opts, epoch
@@ -71,6 +71,8 @@ use crate::prober::{self, add_nonzero, syn_sweep, ProbeConfig, Sweep};
 pub const MONITOR_IP: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 7);
 /// The sandboxed device address.
 pub const BOT_IP: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 2);
+/// Days to keep re-probing a discovered C2 after it stops answering.
+const TRACK_GRACE_DAYS: u32 = 2;
 
 /// Pipeline knobs. Defaults follow the paper; tests shrink durations.
 #[derive(Debug, Clone)]
@@ -86,8 +88,6 @@ pub struct PipelineOpts {
     pub handshaker_threshold: usize,
     /// Behavioural DDoS threshold in packets/second (paper: 100).
     pub pps_threshold: u64,
-    /// Days to keep re-probing a discovered C2 after it stops answering.
-    pub track_grace_days: u32,
     /// Upper bound on tracked days per C2.
     pub track_max_days: u32,
     /// Run the D-PC2 probing study.
@@ -142,7 +142,6 @@ impl Default for PipelineOpts {
             restricted_secs: 7200,
             handshaker_threshold: 20,
             pps_threshold: 100,
-            track_grace_days: 2,
             track_max_days: 60,
             run_probing: true,
             probe_rounds: 84,
@@ -251,7 +250,7 @@ impl Pipeline {
 
         // D-PC2 probing study.
         if opts.run_probing {
-            let weapons = probe_weapons(world);
+            let weapons = prober::weapons(world);
             if !weapons.is_empty() {
                 let _probe_span = tel.span("pipeline.probing");
                 let cfg = ProbeConfig {
@@ -455,7 +454,7 @@ struct EpochRun<'a> {
 ///
 /// Each epoch is a pure function of `(world, opts, its days)`: every
 /// network it touches is detached ([`World::network_for_day_detached`],
-/// per-day [`DOMAIN_WORLD_NET`] sub-seeds), every RNG stream is
+/// per-day `DOMAIN_WORLD_NET` sub-seeds), every RNG stream is
 /// per-sample or per-address, and no epoch reads the tracking table or
 /// another epoch's vendor knowledge. Public so the epoch-merge
 /// permutation proptest can drive [`merge_epoch_results`] with shuffled
@@ -860,7 +859,7 @@ impl EpochRun<'_> {
 ///    concatenation for sample/family lists,
 /// 3. a chronological fold walks every study day, owning the tracking
 ///    table: it re-resolves each tracked C2's liveness through a pure
-///    per-`(day, address)` oracle ([`DOMAIN_LIVENESS_NET`]) — which is
+///    per-`(day, address)` oracle (`DOMAIN_LIVENESS_NET`) — which is
 ///    what re-resolves transitions straddling an epoch edge — replays
 ///    the epochs' recorded day-0 hits, and emits the day's events
 ///    (day_start, chaos windows, phase markers, rollup, heartbeat) from
@@ -986,7 +985,7 @@ pub fn merge_epoch_results(
                 } else {
                     t.misses += 1;
                 }
-                if t.misses > opts.track_grace_days || t.days > opts.track_max_days {
+                if t.misses > TRACK_GRACE_DAYS || t.days > opts.track_max_days {
                     drop_list.push(addr.clone());
                 }
             }
@@ -1597,7 +1596,7 @@ fn exit_label(exit: &malnet_sandbox::ExitReason) -> String {
     }
 }
 
-/// Coarse exit class an [`exit_label`] string belongs to — the
+/// Coarse exit class an `exit_label` string belongs to — the
 /// D-Health `exit_counts` key.
 pub fn exit_class(label: &str) -> &'static str {
     if label.starts_with("exited") {
@@ -1804,20 +1803,4 @@ fn resolve_on(net: &mut Network, domain: &str) -> Option<Ipv4Addr> {
         net.remove_host(MONITOR_IP);
     }
     answer
-}
-
-/// Pick the probing weapons: one Mirai and one Gafgyt sample with clean
-/// call-home behaviour (no exploit arsenal, no sandbox evasion, runs
-/// reliably). The paper's operators likewise hand-selected two known-good
-/// samples for the probing study (§2.3b).
-fn probe_weapons(world: &World) -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
-    for fam in [Family::Mirai, Family::Gafgyt] {
-        if let Some(s) = world.samples.iter().find(|s| {
-            s.family == fam && !s.corrupted && s.spec.exploits.is_empty() && !s.spec.evasive
-        }) {
-            out.push(s.elf.clone());
-        }
-    }
-    out
 }

@@ -20,6 +20,7 @@ use malnet_netsim::net::Network;
 use malnet_netsim::stack::{SockEvent, SockId};
 use malnet_netsim::time::{SimDuration, SimTime};
 use malnet_prng::sub_seed;
+use malnet_protocols::Family;
 use malnet_sandbox::{AnalysisMode, Image, Sandbox, SandboxConfig};
 use malnet_telemetry::{Field as EventField, SpanCtx, Telemetry};
 use malnet_wire::packet::Transport;
@@ -148,6 +149,22 @@ struct RoundCtx<'a> {
     tel: &'a Telemetry,
     /// Coordinator span the round spans re-attach under.
     parent: SpanCtx,
+}
+
+/// Pick the probing weapons: one Mirai and one Gafgyt sample with clean
+/// call-home behaviour (no exploit arsenal, no sandbox evasion, runs
+/// reliably). The paper's operators likewise hand-selected two known-good
+/// samples for the probing study (§2.3b).
+pub fn weapons(world: &World) -> Vec<Vec<u8>> {
+    [Family::Mirai, Family::Gafgyt]
+        .into_iter()
+        .filter_map(|fam| {
+            world.samples.iter().find(|s| {
+                s.family == fam && !s.corrupted && s.spec.exploits.is_empty() && !s.spec.evasive
+            })
+        })
+        .map(|s| s.elf.clone())
+        .collect()
 }
 
 /// Run the probing study. `weapons` are the malware binaries used for

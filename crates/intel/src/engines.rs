@@ -8,7 +8,7 @@
 //!
 //! The draw is a **pure function of `(seed, day, sample_id)`**: each
 //! sample gets its own [`sub_seed`]-derived generator under
-//! [`DOMAIN_AV_ENGINES`], so the count does not depend on how many
+//! `DOMAIN_AV_ENGINES`, so the count does not depend on how many
 //! samples were scanned before it. That is what lets the pipeline's
 //! day-epoch shards each carry their own `EngineModel` and still produce
 //! byte-identical datasets after the epoch merge.

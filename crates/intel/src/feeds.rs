@@ -60,32 +60,18 @@ pub const TABLE7_VENDORS: [(&str, u32); 20] = [
     ("ESTsecurity", 340),
 ];
 
-/// Calibration parameters (defaults reproduce Table 3).
-#[derive(Debug, Clone)]
-pub struct FeedParams {
-    /// P(an IP-based C2 is already known on its discovery day).
-    pub ip_same_day: f64,
-    /// P(an IP-based C2 is known by the late re-query).
-    pub ip_eventually: f64,
-    /// P(a DNS-based C2 is already known on its discovery day).
-    pub dns_same_day: f64,
-    /// P(a DNS-based C2 is known by the late re-query).
-    pub dns_eventually: f64,
-    /// Maximum lag (days) for late-flagged addresses.
-    pub max_lag_days: u32,
-}
-
-impl Default for FeedParams {
-    fn default() -> Self {
-        FeedParams {
-            ip_same_day: 1.0 - 0.133,
-            ip_eventually: 1.0 - 0.015,
-            dns_same_day: 1.0 - 0.576,
-            dns_eventually: 1.0 - 0.35,
-            max_lag_days: 55,
-        }
-    }
-}
+/// P(an IP-based C2 is already known on its discovery day): Table 3's
+/// 13.3% same-day miss.
+const IP_SAME_DAY: f64 = 1.0 - 0.133;
+/// P(an IP-based C2 is known by the late re-query).
+const IP_EVENTUALLY: f64 = 1.0 - 0.015;
+/// P(a DNS-based C2 is already known on its discovery day): Table 3's
+/// 57.6% same-day miss.
+const DNS_SAME_DAY: f64 = 1.0 - 0.576;
+/// P(a DNS-based C2 is known by the late re-query).
+const DNS_EVENTUALLY: f64 = 1.0 - 0.35;
+/// Maximum lag (days) for late-flagged addresses.
+const MAX_LAG_DAYS: u32 = 55;
 
 /// A vendor feed.
 #[derive(Debug, Clone)]
@@ -158,7 +144,6 @@ impl Verdict {
 pub struct VendorDb {
     /// All feeds (89), in fixed order.
     pub vendors: Vec<Vendor>,
-    params: FeedParams,
     seed: u64,
     /// Ordered so `canonical_dump` walks addresses in byte order with
     /// no explicit sort.
@@ -166,13 +151,8 @@ pub struct VendorDb {
 }
 
 impl VendorDb {
-    /// Build the vendor universe with default calibration.
+    /// Build the vendor universe, calibrated to Table 3 and Table 7.
     pub fn new(seed: u64) -> Self {
-        Self::with_params(seed, FeedParams::default())
-    }
-
-    /// Build with explicit calibration (ablation studies).
-    pub fn with_params(seed: u64, params: FeedParams) -> Self {
         let mut vendors: Vec<Vendor> = TABLE7_VENDORS
             .iter()
             .map(|(name, per1000)| Vendor {
@@ -200,7 +180,6 @@ impl VendorDb {
         assert_eq!(vendors.len(), TOTAL_VENDORS);
         VendorDb {
             vendors,
-            params,
             seed,
             records: BTreeMap::new(),
         }
@@ -213,9 +192,9 @@ impl VendorDb {
     /// every other property of the record.
     fn derive_record(&self, addr: &str, is_dns: bool, discovery_day: u32) -> AddrRecord {
         let (p_same, p_event) = if is_dns {
-            (self.params.dns_same_day, self.params.dns_eventually)
+            (DNS_SAME_DAY, DNS_EVENTUALLY)
         } else {
-            (self.params.ip_same_day, self.params.ip_eventually)
+            (IP_SAME_DAY, IP_EVENTUALLY)
         };
         let mut rng = StdRng::seed_from_u64(vendor_addr_seed(self.seed, addr));
         let u: f64 = rng.gen();
@@ -224,7 +203,7 @@ impl VendorDb {
             Some(discovery_day.saturating_sub(rng.gen_range(0..30)))
         } else if u < p_event {
             // Flagged later with a lag.
-            Some(discovery_day + 1 + rng.gen_range(0..self.params.max_lag_days))
+            Some(discovery_day + 1 + rng.gen_range(0..MAX_LAG_DAYS))
         } else {
             None
         };

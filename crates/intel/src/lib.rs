@@ -26,5 +26,5 @@ pub mod engines;
 pub mod feeds;
 pub mod labeling;
 
-pub use feeds::{FeedParams, VendorDb, Verdict};
+pub use feeds::{VendorDb, Verdict};
 pub use labeling::{avclass2_label, yara_label};

@@ -257,7 +257,7 @@ pub enum AluK {
 /// `d`, cannot fault, touch memory, hi/lo, or control flow. `imm`
 /// doubles as the shift amount for `Sll`/`Srl`/`Sra` and carries the
 /// pre-shifted constant for `Lui`; it is pre-sign- or zero-extended
-/// exactly as [`lower`] does for the plain op.
+/// exactly as `lower` does for the plain op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub struct Alu {

@@ -139,14 +139,14 @@ impl ServiceCtx<'_> {
         self.rng
     }
 
-    /// The network's DNS fault-injection policy (chaos layer). Services
-    /// that answer DNS consult this per query.
-    pub fn dns_faults(&self) -> crate::dns::DnsFaults {
+    /// The network's DNS fault-injection policy (chaos layer), which the
+    /// DNS service consults per query.
+    pub(crate) fn dns_faults(&self) -> crate::dns::DnsFaults {
         self.dns_faults
     }
 
     /// Record one injected DNS fault (telemetry only).
-    pub fn note_dns_fault(&mut self) {
+    pub(crate) fn note_dns_fault(&mut self) {
         self.dns_fault_counter.incr();
     }
 }
@@ -359,31 +359,42 @@ impl Network {
         self.install(ip, service, true);
     }
 
-    fn install(&mut self, ip: Ipv4Addr, mut service: Box<dyn Service + Send>, up: bool) {
-        let mut stack = HostStack::new(ip);
-        let mut out = Vec::new();
+    fn install(&mut self, ip: Ipv4Addr, service: Box<dyn Service + Send>, up: bool) {
+        self.hosts.insert(
+            ip,
+            HostEntry {
+                stack: HostStack::new(ip),
+                driver: Driver::Service(service),
+                up,
+                capture: None,
+            },
+        );
+        self.drive(ip, Vec::new(), |svc, ctx| svc.start(ctx));
+    }
+
+    /// Run `f` on the service at `ip` with a context over the host's
+    /// stack, then transmit `out` followed by the packets the service
+    /// sent, and arm the timers it set. The one way any service runs.
+    fn drive(
+        &mut self,
+        ip: Ipv4Addr,
+        mut out: Vec<Packet>,
+        f: impl FnOnce(&mut (dyn Service + Send), &mut ServiceCtx<'_>),
+    ) {
         let mut timers = Vec::new();
-        {
+        let host = self.hosts.get_mut(&ip).expect("driven host exists");
+        if let Driver::Service(svc) = &mut host.driver {
             let mut ctx = ServiceCtx {
                 now: self.now,
-                stack: &mut stack,
+                stack: &mut host.stack,
                 out: &mut out,
                 timers: &mut timers,
                 rng: &mut self.rng,
                 dns_faults: self.dns_faults,
                 dns_fault_counter: &self.tel.dns_faults,
             };
-            service.start(&mut ctx);
+            f(svc.as_mut(), &mut ctx);
         }
-        self.hosts.insert(
-            ip,
-            HostEntry {
-                stack,
-                driver: Driver::Service(service),
-                up,
-                capture: None,
-            },
-        );
         self.flush(ip, out, timers);
     }
 
@@ -813,98 +824,34 @@ impl Network {
                 self.record(dst, now, &pkt);
                 let host = self.hosts.get_mut(&dst).expect("host_up checked");
                 let out = host.stack.handle_packet(&pkt);
-                let mut pkts = out.replies;
-                let mut timers = Vec::new();
                 match &mut host.driver {
-                    Driver::External(q) => q.extend(out.events),
-                    Driver::Service(_) => {
-                        // Re-borrow dance: take the service out to appease
-                        // the borrow checker, run events, put it back.
-                        let mut driver =
-                            std::mem::replace(&mut host.driver, Driver::External(VecDeque::new()));
-                        if let Driver::Service(svc) = &mut driver {
-                            let mut ctx_out = Vec::new();
-                            {
-                                let mut ctx = ServiceCtx {
-                                    now: self.now,
-                                    stack: &mut host.stack,
-                                    out: &mut ctx_out,
-                                    timers: &mut timers,
-                                    rng: &mut self.rng,
-                                    dns_faults: self.dns_faults,
-                                    dns_fault_counter: &self.tel.dns_faults,
-                                };
-                                for e in out.events {
-                                    svc.on_event(&mut ctx, e);
-                                }
-                            }
-                            pkts.extend(ctx_out);
-                        }
-                        let host = self.hosts.get_mut(&dst).expect("still here");
-                        host.driver = driver;
+                    Driver::External(q) => {
+                        q.extend(out.events);
+                        self.flush(dst, out.replies, Vec::new());
                     }
+                    Driver::Service(_) => self.drive(dst, out.replies, |svc, ctx| {
+                        for e in out.events {
+                            svc.on_event(ctx, e);
+                        }
+                    }),
                 }
-                self.flush(dst, pkts, timers);
             }
             EventKind::Timer { host: ip, token } => {
-                if !self.touch(ip).is_some_and(|h| h.up) {
-                    return;
+                if self.touch(ip).is_some_and(|h| h.up) {
+                    self.drive(ip, Vec::new(), |svc, ctx| svc.on_timer(ctx, token));
                 }
-                let host = self.hosts.get_mut(&ip).expect("touched");
-                let mut pkts = Vec::new();
-                let mut timers = Vec::new();
-                let mut driver =
-                    std::mem::replace(&mut host.driver, Driver::External(VecDeque::new()));
-                if let Driver::Service(svc) = &mut driver {
-                    let mut ctx_out = Vec::new();
-                    {
-                        let mut ctx = ServiceCtx {
-                            now: self.now,
-                            stack: &mut host.stack,
-                            out: &mut ctx_out,
-                            timers: &mut timers,
-                            rng: &mut self.rng,
-                            dns_faults: self.dns_faults,
-                            dns_fault_counter: &self.tel.dns_faults,
-                        };
-                        svc.on_timer(&mut ctx, token);
-                    }
-                    pkts.extend(ctx_out);
-                }
-                let host = self.hosts.get_mut(&ip).expect("still here");
-                host.driver = driver;
-                self.flush(ip, pkts, timers);
             }
             EventKind::ConnectTimeout { host: ip, sock } => {
                 let Some(host) = self.hosts.get_mut(&ip) else {
                     return;
                 };
-                if let Some(ev) = host.stack.connect_timeout_fired(sock) {
-                    match &mut host.driver {
-                        Driver::External(q) => q.push_back(ev),
-                        Driver::Service(_) => {
-                            let mut driver = std::mem::replace(
-                                &mut host.driver,
-                                Driver::External(VecDeque::new()),
-                            );
-                            let mut pkts = Vec::new();
-                            let mut timers = Vec::new();
-                            if let Driver::Service(svc) = &mut driver {
-                                let mut ctx = ServiceCtx {
-                                    now: self.now,
-                                    stack: &mut host.stack,
-                                    out: &mut pkts,
-                                    timers: &mut timers,
-                                    rng: &mut self.rng,
-                                    dns_faults: self.dns_faults,
-                                    dns_fault_counter: &self.tel.dns_faults,
-                                };
-                                svc.on_event(&mut ctx, ev);
-                            }
-                            let host = self.hosts.get_mut(&ip).expect("still here");
-                            host.driver = driver;
-                            self.flush(ip, pkts, timers);
-                        }
+                let Some(ev) = host.stack.connect_timeout_fired(sock) else {
+                    return;
+                };
+                match &mut host.driver {
+                    Driver::External(q) => q.push_back(ev),
+                    Driver::Service(_) => {
+                        self.drive(ip, Vec::new(), |svc, ctx| svc.on_event(ctx, ev));
                     }
                 }
             }
@@ -1089,6 +1036,61 @@ mod tests {
         net.add_service_host(B, Box::new(TimerLog(Vec::new())));
         net.run_for(SimDuration::from_secs(5));
         assert!(net.stats.sent >= 1);
+    }
+
+    /// Answers each data segment and arms a timer in the same callback;
+    /// the timer sends its token to A's UDP port 9.
+    struct ReplyAndArm;
+    impl Service for ReplyAndArm {
+        fn start(&mut self, ctx: &mut ServiceCtx<'_>) {
+            ctx.tcp_listen(7);
+        }
+        fn on_event(&mut self, ctx: &mut ServiceCtx<'_>, ev: SockEvent) {
+            if let SockEvent::TcpData { sock, .. } = ev {
+                ctx.tcp_send(sock, b"reply");
+                ctx.set_timer(SimDuration::from_secs(1), 5);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut ServiceCtx<'_>, token: u64) {
+            ctx.udp_send(9, A, 9, vec![token as u8]);
+        }
+    }
+
+    /// A delivery that runs a service sends the stack's own reply first,
+    /// then what the service sent, and arms the timers it set.
+    #[test]
+    fn a_service_sends_after_its_stack_and_its_timers_fire() {
+        let mut net = net();
+        net.add_service_host(B, Box::new(ReplyAndArm));
+        net.add_external_host(A);
+        net.ext_udp_bind(A, 9);
+        let sock = net.ext_tcp_connect(A, B, 7);
+        net.run_for(SimDuration::from_secs(1));
+        net.start_capture(B);
+        net.ext_tcp_send(A, sock, b"ping");
+        net.run_for(SimDuration::from_millis(500));
+        let cap = pcap::parse_capture(&net.stop_capture(B)).unwrap().0;
+        let sent: Vec<&[u8]> = cap
+            .iter()
+            .filter(|(_, p)| p.src == B)
+            .map(|(_, p)| p.transport.payload())
+            .collect();
+        assert_eq!(
+            sent,
+            [&b""[..], b"reply"],
+            "the ACK of the data, then the reply"
+        );
+        assert!(net
+            .ext_events(A)
+            .iter()
+            .all(|e| !matches!(e, SockEvent::UdpData { .. })));
+        net.run_for(SimDuration::from_secs(1));
+        let evs = net.ext_events(A);
+        assert!(
+            evs.iter()
+                .any(|e| matches!(e, SockEvent::UdpData { data, .. } if data == &[5])),
+            "the timer did not fire: {evs:?}"
+        );
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub struct HttpFileServer {
     port: u16,
     // Looked up by requested path only, never iterated. lint: hash-ok
     files: HashMap<String, Vec<u8>>,
-    requests: Vec<String>,
     // Per-socket reassembly buffers, point-accessed by id. lint: hash-ok
     buf: HashMap<crate::stack::SockId, Vec<u8>>,
 }
@@ -34,14 +33,8 @@ impl HttpFileServer {
         HttpFileServer {
             port,
             files,
-            requests: Vec::new(),
             buf: HashMap::new(), // lint: hash-ok
         }
-    }
-
-    /// Paths requested so far (diagnostics).
-    pub fn requests(&self) -> &[String] {
-        &self.requests
     }
 }
 
@@ -63,10 +56,8 @@ impl Service for HttpFileServer {
                         .lines()
                         .next()
                         .and_then(|l| l.split_whitespace().nth(1))
-                        .unwrap_or("/")
-                        .to_string();
-                    self.requests.push(path.clone());
-                    let response = match self.files.get(&path) {
+                        .unwrap_or("/");
+                    let response = match self.files.get(path) {
                         Some(body) => {
                             let mut r = format!(
                                 "HTTP/1.0 200 OK\r\nServer: httpd\r\nContent-Length: {}\r\n\r\n",
@@ -137,14 +128,12 @@ impl Service for BannerService {
 #[derive(Debug)]
 pub struct SinkService {
     ports: Vec<u16>,
-    /// Total bytes swallowed.
-    pub bytes: u64,
 }
 
 impl SinkService {
     /// A sink listening on `ports`.
     pub fn new(ports: Vec<u16>) -> Self {
-        SinkService { ports, bytes: 0 }
+        SinkService { ports }
     }
 }
 
@@ -158,13 +147,7 @@ impl Service for SinkService {
         }
     }
 
-    fn on_event(&mut self, _ctx: &mut ServiceCtx<'_>, ev: SockEvent) {
-        match ev {
-            SockEvent::TcpData { data, .. } => self.bytes += data.len() as u64,
-            SockEvent::UdpData { data, .. } => self.bytes += data.len() as u64,
-            _ => {}
-        }
-    }
+    fn on_event(&mut self, _ctx: &mut ServiceCtx<'_>, _ev: SockEvent) {}
 }
 
 fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {

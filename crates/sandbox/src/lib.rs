@@ -18,8 +18,9 @@
 //!   victims and capture the exploit payload), MITM weaponization
 //!   (redirect C2-bound connects to a probe target), and pcap capture of
 //!   everything the malware emits.
-//! * [`services`] — the fake-endpoint services (sinkhole, fake victim,
-//!   wildcard DNS).
+//! * [`services`] — the fake-endpoint services (the fake victim and the
+//!   InetSim-style HTTP server). The fake resolver is netsim's
+//!   `DnsService` answering every name with one sinkhole address.
 //! * [`faults`] — deterministic syscall-boundary fault injection (short
 //!   I/O, `EINTR`, `ENOMEM`, fd-cap exhaustion): the emulator's share of
 //!   the chaos layer, driven per sample by `malnet-core`'s fault plan.

@@ -30,8 +30,8 @@ use malnet_wire::icmp::IcmpMessage;
 use malnet_wire::packet::Packet;
 use malnet_wire::tcp::TcpFlags;
 
-use crate::faults::{EmuFaultTally, EmuFaults};
-use crate::sandbox::Sandbox;
+use crate::faults::EmuFaultTally;
+use crate::sandbox::{Sandbox, SandboxConfig};
 
 /// Virtual time charged per syscall.
 pub const SYSCALL_COST: SimDuration = SimDuration::from_micros(50);
@@ -89,40 +89,6 @@ enum TcpState {
     Failed,
 }
 
-/// Limits and identity for one process run.
-#[derive(Debug, Clone)]
-pub struct ProcessConfig {
-    /// The IP the sandbox assigned to the infected "device".
-    pub bot_ip: Ipv4Addr,
-    /// Total guest-instruction budget.
-    pub instruction_budget: u64,
-    /// RNG seed for `getrandom`.
-    pub seed: u64,
-    /// Execute through the block-cached engine (`malnet_mips::block`)
-    /// instead of single-stepping. Observationally identical; off keeps
-    /// the legacy `step()` oracle for differential runs.
-    pub block_engine: bool,
-    /// Per-process fd-table cap: `socket` returns `EMFILE` once this
-    /// many descriptors are open.
-    pub fd_cap: u32,
-    /// Syscall-boundary fault sub-plan ([`EmuFaults::none`] injects
-    /// nothing and draws no randomness).
-    pub faults: EmuFaults,
-}
-
-impl Default for ProcessConfig {
-    fn default() -> Self {
-        ProcessConfig {
-            bot_ip: Ipv4Addr::new(100, 64, 0, 2),
-            instruction_budget: 200_000_000,
-            seed: 1,
-            block_engine: true,
-            fd_cap: DEFAULT_FD_CAP,
-            faults: EmuFaults::none(),
-        }
-    }
-}
-
 /// A prepared executable: the parsed ELF's segments loaded into memory
 /// and the predecoded text of its entry segment. Processes start from
 /// it ([`BotProcess::start`]) without parsing or decoding again; each
@@ -158,7 +124,9 @@ impl Image {
 /// A loaded malware process.
 pub struct BotProcess {
     cpu: Cpu,
-    cfg: ProcessConfig,
+    /// The run's sandbox config: identity, budget, engine, fd cap and
+    /// fault sub-plan.
+    cfg: SandboxConfig,
     /// Predecoded `.text` for the block engine; `None` runs the legacy
     /// stepping oracle (toggle off, or entry outside any segment).
     cache: Option<ExecCache>,
@@ -171,8 +139,8 @@ pub struct BotProcess {
     rng: StdRng,
     executed: u64,
     /// Count of syscalls serviced (diagnostics). Incremented *before*
-    /// dispatch, so during [`BotProcess::syscall`] it is the 1-based
-    /// index of the current call — the deterministic coordinate the
+    /// dispatch, so while a syscall is serviced it is the 1-based index
+    /// of the current call — the deterministic coordinate the
     /// fault sub-plan keys its per-syscall decisions on.
     pub syscall_count: u64,
     /// Faults the sub-plan actually injected into this run.
@@ -186,7 +154,7 @@ impl BotProcess {
     /// Start a process from a prepared image: a copy of its memory with
     /// a fresh stack mapped, and a copy of its predecoded text when the
     /// config enables the block engine.
-    pub fn start(image: &Image, cfg: ProcessConfig) -> Self {
+    pub fn start(image: &Image, cfg: SandboxConfig) -> Self {
         let mut mem = image.mem.clone();
         mem.map_zeroed(
             malnet_mips::cpu::STACK_TOP - malnet_mips::cpu::STACK_SIZE,
@@ -314,7 +282,7 @@ impl BotProcess {
     /// Effective fd cap: the configured table bound, tightened by the
     /// fault sub-plan's reduction when one is active.
     fn fd_cap(&self) -> u32 {
-        match self.cfg.faults.fd_cap {
+        match self.cfg.emu_faults.fd_cap {
             Some(c) => c.min(self.cfg.fd_cap),
             None => self.cfg.fd_cap,
         }
@@ -349,7 +317,7 @@ impl BotProcess {
                 }
             }
             sys::NR_NANOSLEEP => {
-                if self.cfg.faults.eintr(idx) {
+                if self.cfg.emu_faults.eintr(idx) {
                     self.fault_tally.eintr += 1;
                     self.ret_err(sys::EINTR);
                     return None;
@@ -369,7 +337,7 @@ impl BotProcess {
             sys::NR_SOCKET => {
                 // Allocation-backed path: the fault sub-plan's ENOMEM
                 // fires before any kernel-side state is touched.
-                if self.cfg.faults.enomem(idx) {
+                if self.cfg.emu_faults.enomem(idx) {
                     self.fault_tally.enomem += 1;
                     self.ret_err(sys::ENOMEM);
                     return None;
@@ -481,7 +449,7 @@ impl BotProcess {
                         let sock = *sock;
                         // Short write: transmit (and report) a partial
                         // count; the guest's retry loop owns the rest.
-                        let len = match self.cfg.faults.short_count(idx, len as usize) {
+                        let len = match self.cfg.emu_faults.short_count(idx, len as usize) {
                             Some(n) => {
                                 self.fault_tally.short_io += 1;
                                 n as u32
@@ -498,7 +466,7 @@ impl BotProcess {
                 }
             }
             sys::NR_RECV | sys::NR_READ | sys::NR_RECVFROM => {
-                if self.cfg.faults.eintr(idx) {
+                if self.cfg.emu_faults.eintr(idx) {
                     self.fault_tally.eintr += 1;
                     self.ret_err(sys::EINTR);
                     return None;
@@ -536,7 +504,7 @@ impl BotProcess {
                         // Short read: deliver a partial count; the rest
                         // stays queued for the guest's next read.
                         let mut n = rx.len().min(max);
-                        if let Some(s) = self.cfg.faults.short_count(idx, n) {
+                        if let Some(s) = self.cfg.emu_faults.short_count(idx, n) {
                             self.fault_tally.short_io += 1;
                             n = s;
                         }
@@ -626,7 +594,7 @@ impl BotProcess {
             sys::NR_ACCEPT => {
                 // Blocking call, so the EINTR fault applies; otherwise
                 // bots in our corpus never act as servers.
-                if self.cfg.faults.eintr(idx) {
+                if self.cfg.emu_faults.eintr(idx) {
                     self.fault_tally.eintr += 1;
                     self.ret_err(sys::EINTR);
                 } else {

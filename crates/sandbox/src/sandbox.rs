@@ -3,8 +3,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
 
+use malnet_netsim::dns::DnsService;
 use malnet_netsim::net::Network;
 use malnet_netsim::time::SimDuration;
 use malnet_telemetry::Telemetry;
@@ -12,8 +12,8 @@ use malnet_wire::packet::Packet;
 use malnet_wire::pcap;
 
 use crate::faults::{EmuFaultTally, EmuFaults};
-use crate::process::{BotProcess, ExitReason, Image, ProcessConfig, DEFAULT_FD_CAP};
-use crate::services::{FakeVictim, InetSimHttp, VictimCapture, VictimLog, WildcardDns};
+use crate::process::{BotProcess, ExitReason, Image, DEFAULT_FD_CAP};
+use crate::services::{FakeVictim, InetSimHttp, VictimCapture, VictimLog};
 
 /// The sinkhole address the wildcard DNS hands out in contained mode.
 pub const DNS_SINKHOLE: Ipv4Addr = Ipv4Addr::new(100, 64, 99, 99);
@@ -116,8 +116,6 @@ pub struct Artifacts {
     pub pcap: Vec<u8>,
     /// Exploit payloads the handshaker collected.
     pub exploits: Vec<CapturedExploit>,
-    /// DNS names the malware queried (from the fake resolver's log).
-    pub dns_queries: Vec<String>,
     /// Guest instructions retired.
     pub instructions: u64,
     /// Syscalls serviced.
@@ -144,7 +142,6 @@ pub struct Sandbox {
     pub net: Network,
     cfg: SandboxConfig,
     victim_log: VictimLog,
-    dns_names: Arc<Mutex<Vec<String>>>,
     /// Distinct destination IPs seen per TCP port: the handshaker's
     /// counter, read only by `note_contact`.
     port_contacts: BTreeMap<u16, BTreeSet<Ipv4Addr>>,
@@ -152,8 +149,8 @@ pub struct Sandbox {
     engaged_ports: BTreeSet<u16>,
     /// Destinations the sandbox spawned fake hosts for.
     spawned: BTreeSet<Ipv4Addr>,
-    /// Did this sandbox install the fake resolver (it logs into
-    /// `dns_names`)?
+    /// Did this sandbox install the fake resolver (so it removes it
+    /// again in [`Sandbox::into_network`])?
     owns_resolver: bool,
     /// Telemetry handle (inert by default); see [`Sandbox::with_telemetry`].
     tel: Telemetry,
@@ -210,13 +207,9 @@ impl Sandbox {
     /// Installs the fake resolver, the bot's host entry, and the capture
     /// tap.
     pub fn new(mut net: Network, cfg: SandboxConfig) -> Self {
-        let dns_names = Arc::new(Mutex::new(Vec::new()));
         let owns_resolver = !net.has_host(FAKE_RESOLVER);
         if owns_resolver {
-            net.add_service_host(
-                FAKE_RESOLVER,
-                Box::new(WildcardDns::new(DNS_SINKHOLE, dns_names.clone())),
-            );
+            net.add_service_host(FAKE_RESOLVER, Box::new(DnsService::wildcard(DNS_SINKHOLE)));
         }
         if !net.has_host(cfg.bot_ip) {
             net.add_external_host(cfg.bot_ip);
@@ -226,7 +219,6 @@ impl Sandbox {
             net,
             cfg,
             victim_log: VictimLog::default(),
-            dns_names,
             port_contacts: BTreeMap::new(),
             engaged_ports: BTreeSet::new(),
             spawned: BTreeSet::new(),
@@ -338,17 +330,9 @@ impl Sandbox {
 
     fn run(&mut self, image: Option<&Image>, duration: SimDuration) -> Artifacts {
         let deadline = self.net.now() + duration;
-        let pcfg = ProcessConfig {
-            bot_ip: self.cfg.bot_ip,
-            instruction_budget: self.cfg.instruction_budget,
-            seed: self.cfg.seed,
-            block_engine: self.cfg.block_engine,
-            fd_cap: self.cfg.fd_cap,
-            faults: self.cfg.emu_faults,
-        };
         let (exit, instructions, syscalls, idle_steps_skipped, emu_faults) = match image {
             Some(image) => {
-                let mut proc = BotProcess::start(image, pcfg);
+                let mut proc = BotProcess::start(image, self.cfg.clone());
                 let exit = proc.run(self, deadline);
                 (
                     exit,
@@ -388,7 +372,6 @@ impl Sandbox {
             })
             .collect();
         self.victim_log.lock().unwrap().clear();
-        let dns_queries = std::mem::take(&mut *self.dns_names.lock().unwrap());
         self.tel_handles.runs.incr();
         self.tel_handles.instructions.add(instructions);
         self.tel_handles.syscalls.add(syscalls);
@@ -401,7 +384,6 @@ impl Sandbox {
             exit,
             pcap,
             exploits,
-            dns_queries,
             instructions,
             syscalls,
             emu_faults,

@@ -115,71 +115,11 @@ impl Service for InetSimHttp {
     }
 }
 
-/// Wildcard DNS: answers **every** A query with a fixed sinkhole address.
-/// This is InetSim's DNS behaviour; it lets DNS-configured malware
-/// proceed far enough to reveal its C2 domain and follow-on traffic.
-#[derive(Debug)]
-pub struct WildcardDns {
-    answer: Ipv4Addr,
-    /// Names queried so far (the C2-domain evidence).
-    pub queried: Arc<Mutex<Vec<String>>>,
-}
-
-impl WildcardDns {
-    /// Answer every query with `answer`, recording names into `queried`.
-    pub fn new(answer: Ipv4Addr, queried: Arc<Mutex<Vec<String>>>) -> Self {
-        WildcardDns { answer, queried }
-    }
-}
-
-impl Service for WildcardDns {
-    fn start(&mut self, ctx: &mut ServiceCtx<'_>) {
-        ctx.udp_bind(53);
-    }
-
-    fn on_event(&mut self, ctx: &mut ServiceCtx<'_>, ev: SockEvent) {
-        let SockEvent::UdpData { src, data, .. } = ev else {
-            return;
-        };
-        let Ok(q) = malnet_wire::dns::DnsMessage::decode(&data) else {
-            return;
-        };
-        if q.is_response {
-            return;
-        }
-        self.queried
-            .lock()
-            .unwrap()
-            .push(q.question.as_str().to_string());
-        // Fault injection (chaos layer): the fake resolver honours the
-        // network's DNS fault policy exactly like the world resolver —
-        // the name is still logged as evidence, but the bot may get no
-        // answer, SERVFAIL, or NXDOMAIN.
-        let faults = ctx.dns_faults();
-        let injected = faults.decide(ctx.rng());
-        if injected.is_some() {
-            ctx.note_dns_fault();
-        }
-        let reply = match injected {
-            Some(malnet_netsim::dns::DnsFailure::Drop) => return,
-            Some(malnet_netsim::dns::DnsFailure::ServFail) => {
-                malnet_wire::dns::DnsMessage::servfail(q.id, q.question.clone())
-            }
-            Some(malnet_netsim::dns::DnsFailure::NxDomain) => {
-                malnet_wire::dns::DnsMessage::nxdomain(q.id, q.question.clone())
-            }
-            None => malnet_wire::dns::DnsMessage::answer(q.id, q.question.clone(), &[self.answer]),
-        };
-        ctx.udp_send(53, src.0, src.1, reply.encode());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use malnet_netsim::net::Network;
     use malnet_netsim::time::{SimDuration, SimTime};
-    use malnet_wire::dns::{DnsMessage, DomainName};
 
     const BOT: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 2);
     const FAKE: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 3);
@@ -205,29 +145,6 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].port, 8080);
         assert!(log[0].payload.starts_with(b"POST /GponForm"));
-    }
-
-    #[test]
-    fn wildcard_dns_answers_everything() {
-        let queried = Arc::new(Mutex::new(Vec::new()));
-        let sink = Ipv4Addr::new(100, 64, 0, 1);
-        let mut net = Network::new(SimTime::EPOCH, 5);
-        net.add_service_host(FAKE, Box::new(WildcardDns::new(sink, queried.clone())));
-        net.add_external_host(BOT);
-        net.ext_udp_bind(BOT, 5000);
-        let q = DnsMessage::query(3, DomainName::new("cnc.weird-botnet.ru").unwrap());
-        net.ext_udp_send(BOT, 5000, FAKE, 53, q.encode());
-        net.run_for(SimDuration::from_secs(1));
-        let evs = net.ext_events(BOT);
-        let reply = evs
-            .iter()
-            .find_map(|e| match e {
-                SockEvent::UdpData { data, .. } => DnsMessage::decode(data).ok(),
-                _ => None,
-            })
-            .expect("reply");
-        assert_eq!(reply.answers[0].1, sink);
-        assert_eq!(queried.lock().unwrap().as_slice(), ["cnc.weird-botnet.ru"]);
     }
 
     #[test]

@@ -1,25 +1,18 @@
-//! `.text` analysis: linear sweep + recursive descent CFG, syscall
-//! reachability, and immediate-materialization idioms.
+//! `.text` analysis: linear sweep + recursive descent CFG and syscall
+//! reachability.
 //!
 //! Built entirely on `malnet-mips`'s structured decoder
 //! ([`malnet_mips::dis::decode`]). Two passes:
 //!
-//! 1. **Linear sweep** decodes every word (counting the ones the
-//!    decoder cannot name) and collects basic-block leaders: the entry
-//!    point, every branch/jump target, and the word after each control
-//!    transfer's delay slot.
+//! 1. **Linear sweep** decodes every word and collects basic-block
+//!    leaders: the entry point, every branch/jump target, and the word
+//!    after each control transfer's delay slot.
 //! 2. **Recursive descent** walks the block graph from the entry point.
 //!    Within each reachable block a small constant-propagation lattice
 //!    tracks `lui`/`ori`/`addiu` materializations, so each `syscall`
 //!    site's `$v0` is usually a known constant — that set of reachable
 //!    syscall numbers is the triage verdict ("can this binary
 //!    `socket`+`connect` at all?").
-//!
-//! The same store-tracking pass spots `decode_sockaddr`-shaped
-//! constructions — `sh` of `AF_INET`-like halfwords at offset `o` and
-//! `o+2` followed by `sw` of an address word at `o+4` off one base
-//! register — the idiom every libc-less bot uses to build a
-//! `struct sockaddr_in`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,31 +22,12 @@ use malnet_mips::sys;
 /// Registers: $v0 carries the syscall number on MIPS o32.
 const V0: u8 = 2;
 
-/// Summary of the `.text` analysis, embedded in the static report.
+/// The `.text` analysis's verdict, embedded in the static report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TextAnalysis {
-    /// Words decoded by the linear sweep.
-    pub instructions: usize,
-    /// Words the decoder could not name.
-    pub unknown_words: usize,
-    /// Basic blocks discovered.
-    pub blocks: usize,
-    /// CFG edges.
-    pub edges: usize,
-    /// Blocks reachable from the entry point.
-    pub reachable_blocks: usize,
-    /// Instructions inside reachable blocks.
-    pub reachable_instructions: usize,
     /// Distinct syscall numbers reachable from entry with a constant
     /// `$v0`, ascending.
     pub syscalls: Vec<u32>,
-    /// Reachable `syscall` sites whose `$v0` could not be resolved.
-    pub unknown_syscall_sites: usize,
-    /// 32-bit constants materialized via `lui`/`ori` pairs in reachable
-    /// blocks.
-    pub materialized_consts: usize,
-    /// `sockaddr_in`-shaped store sequences in reachable blocks.
-    pub sockaddr_sites: usize,
 }
 
 impl TextAnalysis {
@@ -72,13 +46,8 @@ pub fn analyze_text(code: &[u8], base: u32, entry: u32) -> TextAnalysis {
     let n = insts.len();
     let end = base.wrapping_add(4 * n as u32);
     let in_range = |a: u32| a >= base && a < end && a.is_multiple_of(4);
-    let mut out = TextAnalysis {
-        instructions: n,
-        unknown_words: insts.iter().filter(|i| !i.known).count(),
-        ..TextAnalysis::default()
-    };
     if n == 0 {
-        return out;
+        return TextAnalysis::default();
     }
 
     // --- pass 1: leaders ---
@@ -117,7 +86,6 @@ pub fn analyze_text(code: &[u8], base: u32, entry: u32) -> TextAnalysis {
             blocks.insert(s, (idx, len));
         }
     }
-    out.blocks = blocks.len();
 
     // --- successors per block ---
     let succs_of = |start: u32| -> Vec<u32> {
@@ -186,59 +154,32 @@ pub fn analyze_text(code: &[u8], base: u32, entry: u32) -> TextAnalysis {
             work.push(snapped);
         }
     }
-    out.edges = blocks.keys().map(|&b| succs_of(b).len()).sum();
-    out.reachable_blocks = reachable.len();
 
     // --- per-block constant propagation over reachable blocks ---
     let mut syscalls: BTreeSet<u32> = BTreeSet::new();
     for &b in &reachable {
         let &(idx, len) = blocks.get(&b).expect("reachable block exists");
-        out.reachable_instructions += len;
         let mut regs: [Option<u32>; 32] = [None; 32];
         regs[0] = Some(0);
-        // (base reg, offset) of sh / sw stores seen in this block.
-        let mut sh_stores: BTreeSet<(u8, i16)> = BTreeSet::new();
-        let mut sw_stores: BTreeSet<(u8, i16)> = BTreeSet::new();
         for i in &insts[idx..idx + len] {
-            step_const(
-                i,
-                &mut regs,
-                &mut out.materialized_consts,
-                &mut sh_stores,
-                &mut sw_stores,
-            );
+            step_const(i, &mut regs);
             if i.flow == Flow::Syscall {
-                match regs[V0 as usize] {
-                    Some(nr) => {
-                        syscalls.insert(nr);
-                    }
-                    None => out.unknown_syscall_sites += 1,
+                if let Some(nr) = regs[V0 as usize] {
+                    syscalls.insert(nr);
                 }
             }
         }
-        for &(breg, off) in &sh_stores {
-            if sh_stores.contains(&(breg, off.wrapping_add(2)))
-                && sw_stores.contains(&(breg, off.wrapping_add(4)))
-            {
-                out.sockaddr_sites += 1;
-            }
-        }
     }
-    out.syscalls = syscalls.into_iter().collect();
-    out
+    TextAnalysis {
+        syscalls: syscalls.into_iter().collect(),
+    }
 }
 
 /// One step of the block-local constant lattice: track everything the
 /// stub's codegen can materialize (`lui`/`ori` pairs, `addiu`, moves,
 /// simple ALU on known values); anything loaded from memory or derived
 /// from an unknown goes back to ⊥.
-fn step_const(
-    i: &Inst,
-    regs: &mut [Option<u32>; 32],
-    materialized: &mut usize,
-    sh_stores: &mut BTreeSet<(u8, i16)>,
-    sw_stores: &mut BTreeSet<(u8, i16)>,
-) {
+fn step_const(i: &Inst, regs: &mut [Option<u32>; 32]) {
     if !i.known {
         return;
     }
@@ -272,15 +213,7 @@ fn step_const(
             }
         }
         0x0f => set(regs, rt, Some(u32::from(i.imm()) << 16)),
-        0x0d => {
-            let v = regs[rs].map(|v| v | u32::from(i.imm()));
-            // An `ori rt, rt, lo` completing a known upper half is the
-            // `li`/`la` idiom — a materialized 32-bit constant.
-            if rs == rt && v.is_some() {
-                *materialized += 1;
-            }
-            set(regs, rt, v);
-        }
+        0x0d => set(regs, rt, regs[rs].map(|v| v | u32::from(i.imm()))),
         0x08 | 0x09 => set(
             regs,
             rt,
@@ -300,12 +233,6 @@ fn step_const(
         0x0e => set(regs, rt, regs[rs].map(|v| v ^ u32::from(i.imm()))),
         // Loads: destination becomes unknown.
         0x20 | 0x21 | 0x23 | 0x24 | 0x25 => set(regs, rt, None),
-        0x29 => {
-            sh_stores.insert((i.rs(), i.simm()));
-        }
-        0x2b => {
-            sw_stores.insert((i.rs(), i.simm()));
-        }
         0x03 => regs[31] = None, // jal clobbers $ra
         _ => {}
     }
@@ -342,8 +269,6 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(t.net_capable());
-        assert_eq!(t.unknown_syscall_sites, 0);
-        assert_eq!(t.blocks, 1);
     }
 
     #[test]
@@ -360,7 +285,6 @@ mod tests {
         let t = analyze_text(&code, 0x0040_0000, 0x0040_0000);
         assert!(t.syscalls.contains(&sys::NR_EXIT));
         assert!(!t.syscalls.contains(&sys::NR_SENDTO));
-        assert!(t.reachable_blocks < t.blocks);
     }
 
     #[test]
@@ -380,29 +304,12 @@ mod tests {
         let t = analyze_text(&code, 0x0040_0000, 0x0040_0000);
         assert!(t.syscalls.contains(&sys::NR_SEND));
         assert!(t.syscalls.contains(&sys::NR_RECV));
-        assert_eq!(t.reachable_blocks, t.blocks);
-        assert!(t.edges >= t.blocks);
-    }
-
-    #[test]
-    fn sockaddr_idiom_detected() {
-        let code = asm(|a| {
-            a.ins(Ins::Li(Reg::S4, 0x2000_0000))
-                .ins(Ins::Li(Reg::T9, sys::AF_INET))
-                .ins(Ins::Sh(Reg::T9, Reg::S4, 0x1200))
-                .ins(Ins::Sh(Reg::A1, Reg::S4, 0x1202))
-                .ins(Ins::Sw(Reg::A2, Reg::S4, 0x1204));
-        });
-        let t = analyze_text(&code, 0x0040_0000, 0x0040_0000);
-        assert_eq!(t.sockaddr_sites, 1);
-        assert!(t.materialized_consts >= 2);
     }
 
     #[test]
     fn arbitrary_bytes_are_total() {
         let junk: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
-        let t = analyze_text(&junk, 0x0040_0000, 0x0040_0000);
-        assert_eq!(t.instructions, 1024);
+        let _ = analyze_text(&junk, 0x0040_0000, 0x0040_0000);
         let _ = analyze_text(&[], 0x0040_0000, 0);
         let _ = analyze_text(&[1, 2, 3], 0, u32::MAX);
     }

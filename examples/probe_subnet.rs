@@ -10,8 +10,7 @@
 use malnet::botgen::world::{Calibration, World, WorldConfig, PROBE_PORTS};
 use malnet::core::analysis;
 use malnet::core::datasets::Datasets;
-use malnet::core::prober::{run_probing, ProbeConfig};
-use malnet::protocols::Family;
+use malnet::core::prober::{self, run_probing, ProbeConfig};
 
 fn main() {
     let world = World::generate(WorldConfig {
@@ -27,18 +26,7 @@ fn main() {
     );
 
     // Weaponize one Mirai and one Gafgyt sample (clean call-home).
-    let weapons: Vec<Vec<u8>> = [Family::Mirai, Family::Gafgyt]
-        .iter()
-        .filter_map(|f| {
-            world
-                .samples
-                .iter()
-                .find(|s| {
-                    s.family == *f && !s.corrupted && s.spec.exploits.is_empty() && !s.spec.evasive
-                })
-                .map(|s| s.elf.clone())
-        })
-        .collect();
+    let weapons = prober::weapons(&world);
     println!("weaponized samples: {}", weapons.len());
 
     let cfg = ProbeConfig {
