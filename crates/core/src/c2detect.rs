@@ -1,9 +1,10 @@
 //! C2 address extraction from sandbox artifacts — the CnCHunter analysis
 //! (paper §2.1: "we can detect C2-bound traffic with a 90% precision").
 //!
-//! Works purely on the run's capture bytes plus the fake resolver's query
-//! log. The discriminator between C2-bound flows and scan/exploit flows
-//! is **fan-out**: scanning contacts many addresses on one port, C2
+//! Works purely on the run's capture bytes: a flow's address is named
+//! by the DNS answer in the capture that handed it out, if any. The
+//! discriminator between C2-bound flows and scan/exploit flows is
+//! **fan-out**: scanning contacts many addresses on one port, C2
 //! check-ins contact one address on one port, usually repeatedly, and
 //! carry a protocol login when the server engages.
 

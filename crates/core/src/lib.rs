@@ -15,7 +15,11 @@
 //!   on a 4-hour cadence with banner filtering and weaponized-malware
 //!   engagement checks (§2.3b).
 //! * [`pipeline`] — the daily loop: collect, vet, activate, extract,
-//!   cross-validate with the intelligence feeds, track liveness.
+//!   cross-validate with the intelligence feeds, track liveness. One
+//!   submodule per owner: the plan, epochs and reduce; contained
+//!   activation; restricted sessions ([`pipeline::restricted_sandbox`]);
+//!   liveness; and the sub-seed streams
+//!   ([`pipeline::seed_inventory`]).
 //! * [`chaos`] — deterministic fault plans (link loss, DNS failures,
 //!   C2 downtime, binary mutation, worker panics, syscall-boundary
 //!   emulator faults) and the graceful-degradation discipline behind

@@ -14,8 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
-use malnet_botgen::world::World;
-use malnet_netsim::asdb::Prefix;
+use malnet_botgen::world::{World, PROBE_PORTS};
 use malnet_netsim::net::Network;
 use malnet_netsim::stack::{SockEvent, SockId};
 use malnet_netsim::time::{SimDuration, SimTime};
@@ -27,6 +26,7 @@ use malnet_wire::packet::Transport;
 use malnet_wire::pcap;
 
 use crate::datasets::ProbedC2;
+use crate::pipeline::BOT_IP;
 
 /// The prober's own vantage address.
 pub const PROBER_IP: Ipv4Addr = Ipv4Addr::new(100, 64, 0, 9);
@@ -36,21 +36,19 @@ const DOMAIN_ROUND_NET: u64 = 0x5eed_0000_0000_0004;
 /// [`sub_seed`] domain for a round's weaponized-engagement sandboxes.
 const DOMAIN_ENGAGE: u64 = 0x5eed_0000_0000_0005;
 
-/// Probing configuration.
+/// Seconds each weaponized engagement probe runs.
+const ENGAGE_SECS: u64 = 25;
+
+/// Probing configuration. The probing theatre comes from the world: its
+/// suspicious subnets ([`World::probe_subnets`]), swept on the Table 5
+/// ports ([`PROBE_PORTS`]), in a window that starts on
+/// [`World::probe_start_day`].
 #[derive(Debug, Clone)]
 pub struct ProbeConfig {
-    /// Subnets to sweep.
-    pub subnets: Vec<Prefix>,
-    /// Ports to sweep (Table 5).
-    pub ports: Vec<u16>,
-    /// First study day of the window.
-    pub start_day: u32,
     /// Total probing rounds (paper: 14 days × 6 = 84).
     pub rounds: u32,
     /// Rounds per day (paper: 6, i.e. a 4-hour cadence).
     pub rounds_per_day: u32,
-    /// Seconds each weaponized engagement probe runs.
-    pub engage_secs: u64,
     /// Sweep the full /24 (254 hosts) or only the first N addresses
     /// (tests use a small N; the methodology is identical).
     pub hosts_per_subnet: u32,
@@ -72,15 +70,12 @@ pub struct ProbeConfig {
 }
 
 impl ProbeConfig {
-    /// The paper's configuration over a world's probing theatre.
-    pub fn from_world(world: &World) -> Self {
+    /// The paper's configuration. The world is not read here:
+    /// [`run_probing`] reads its probing theatre itself.
+    pub fn from_world(_world: &World) -> Self {
         ProbeConfig {
-            subnets: world.probe_subnets.clone(),
-            ports: malnet_botgen::world::PROBE_PORTS.to_vec(),
-            start_day: world.probe_start_day,
             rounds: 84,
             rounds_per_day: 6,
-            engage_secs: 25,
             hosts_per_subnet: 254,
             syn_retries: 2,
             parallelism: 1,
@@ -223,7 +218,7 @@ pub fn run_probing(
             &[
                 (
                     "day",
-                    EventField::U(u64::from(cfg.start_day + round / cfg.rounds_per_day)),
+                    EventField::U(u64::from(round_day(world, cfg, round))),
                 ),
                 ("rounds_completed", EventField::U(u64::from(day_end))),
                 (
@@ -235,6 +230,22 @@ pub fn run_probing(
         round = day_end;
     }
     merge_round_results(round_results)
+}
+
+/// The study day probing round `round` runs on.
+pub(crate) fn round_day(world: &World, cfg: &ProbeConfig, round: u32) -> u32 {
+    world.probe_start_day + round / cfg.rounds_per_day
+}
+
+/// Seed of round `round`'s detached probing network, on its `day`.
+pub(crate) fn round_net_seed(seed: u64, day: u32, round: u32) -> u64 {
+    sub_seed(seed ^ DOMAIN_ROUND_NET, day, u64::from(round))
+}
+
+/// Seed of the engagement sandbox of round `round`'s `listener`-th
+/// listener.
+pub(crate) fn engage_seed(seed: u64, round: u32, listener: usize) -> u64 {
+    sub_seed(seed ^ DOMAIN_ENGAGE, round, listener as u64)
 }
 
 /// One probing round: SYN sweep → banner filter → weaponized
@@ -253,23 +264,20 @@ fn probe_round(
         parent,
     } = ctx;
     let _round_span = tel.span_under("prober.round", parent);
-    let day = cfg.start_day + round / cfg.rounds_per_day;
+    let day = round_day(world, cfg, round);
     let secs_into_day =
         u64::from(round % cfg.rounds_per_day) * 86_400 / u64::from(cfg.rounds_per_day);
-    let (mut net, _logs) = world.network_for_day_detached(
-        day,
-        sub_seed(seed ^ DOMAIN_ROUND_NET, day, u64::from(round)),
-    );
+    let (mut net, _logs) = world.network_for_day_detached(day, round_net_seed(*seed, day, round));
     net.run_until(SimTime::from_day(day, secs_into_day));
     net.add_external_host(PROBER_IP);
 
     // --- step 1: listener discovery (batched SYN sweep, with
     // bounded re-probes for unanswered hosts) ---
     let mut targets: Vec<(Ipv4Addr, u16)> = Vec::new();
-    for subnet in &cfg.subnets {
+    for subnet in &world.probe_subnets {
         for h in 0..cfg.hosts_per_subnet.min(subnet.capacity()) {
             let Some(ip) = subnet.host(h) else { continue };
-            for &port in &cfg.ports {
+            for &port in &PROBE_PORTS {
                 if banner_filtered.contains(&(ip, port)) {
                     continue;
                 }
@@ -305,16 +313,16 @@ fn probe_round(
         let mut sb = Sandbox::new(
             net,
             SandboxConfig {
-                bot_ip: Ipv4Addr::new(100, 64, 0, 2),
+                bot_ip: BOT_IP,
                 mode: AnalysisMode::Weaponized { target: (ip, port) },
                 handshaker_threshold: None,
                 instruction_budget: 50_000_000,
-                seed: sub_seed(seed ^ DOMAIN_ENGAGE, round, i as u64),
+                seed: engage_seed(*seed, round, i),
                 block_engine: cfg.block_engine,
                 ..SandboxConfig::default()
             },
         );
-        let art = sb.execute_image(weapon.as_ref(), SimDuration::from_secs(cfg.engage_secs));
+        let art = sb.execute_image(weapon.as_ref(), SimDuration::from_secs(ENGAGE_SECS));
         net = sb.into_network();
         // Engagement: any application payload back from the target.
         let engaged = pcap::packets(&art.pcap).any(|(_, p)| {
@@ -513,7 +521,6 @@ mod tests {
         let cfg = ProbeConfig {
             rounds: 12,
             rounds_per_day: 6,
-            engage_secs: 20,
             hosts_per_subnet: 40, // covers the planted C2s at hosts 10..88
             ..ProbeConfig::from_world(&world)
         };
@@ -535,7 +542,7 @@ mod tests {
             // Every discovered server sits in a probing subnet on a
             // Table 5 port.
             assert!(world.probe_subnets.iter().any(|s| s.contains(p.ip)));
-            assert!(cfg.ports.contains(&p.port));
+            assert!(PROBE_PORTS.contains(&p.port));
             assert!(p.responses() >= 1);
             // Elusive: never responds to every probe.
             assert!(p.responses() < p.probes.len(), "{p:?}");

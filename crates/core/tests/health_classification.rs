@@ -2,10 +2,10 @@
 //!
 //! Two contracts the degradation accounting must keep:
 //!
-//! * **totality** — every exit class the pipeline can produce
-//!   (`exited`, `fault`, `budget`, `deadline`) has a defined D-Health
-//!   classification, with and without injected emulator faults, and
-//!   every `HealthKind` variant (including `EmuFault`) is reachable;
+//! * **totality** — every sandbox `ExitReason` variant has a defined
+//!   exit class and D-Health classification, with and without injected
+//!   emulator faults, and every `HealthKind` variant (including
+//!   `EmuFault`) is reachable;
 //! * **merge order** — D-Health rows are appended by the coordinator's
 //!   B1 merge loop in `(day, sample-id)` order, so the section reads
 //!   chronologically no matter how phase A was scheduled.
@@ -14,25 +14,30 @@ use malnet_botgen::world::{World, WorldConfig};
 use malnet_core::chaos::FaultPlan;
 use malnet_core::datasets::HealthKind;
 use malnet_core::pipeline::{degraded_kind, exit_class, Pipeline, PipelineOpts};
-
-/// Every exit-label shape the sandbox can emit, bucketed by class.
-const LABELS: &[(&str, &str)] = &[
-    ("exited(0)", "exited"),
-    ("exited(7)", "exited"),
-    ("exited(127)", "exited"),
-    ("fault: unloadable ELF", "fault"),
-    ("fault: segfault @0x0", "fault"),
-    ("budget", "budget"),
-    ("deadline", "deadline"),
-];
+use malnet_sandbox::ExitReason;
 
 #[test]
 fn every_exit_class_has_a_total_classification() {
-    for &(label, expected_class) in LABELS {
-        let class = exit_class(label);
-        assert_eq!(class, expected_class, "label {label:?} misclassified");
+    let exits = [
+        ExitReason::Exited(0),
+        ExitReason::Exited(7),
+        ExitReason::Exited(127),
+        ExitReason::Fault("unloadable ELF".to_string()),
+        ExitReason::Fault("segfault @0x0".to_string()),
+        ExitReason::Budget,
+        ExitReason::Deadline,
+    ];
+    for exit in exits {
+        // Exhaustive over the variants: a new one fails to compile here.
+        let expected_class = match exit {
+            ExitReason::Exited(_) => "exited",
+            ExitReason::Fault(_) => "fault",
+            ExitReason::Budget => "budget",
+            ExitReason::Deadline => "deadline",
+        };
+        let class = exit_class(&exit);
+        assert_eq!(class, expected_class, "{exit:?} misclassified");
         for emu_injected in [false, true] {
-            let kind = degraded_kind(class, emu_injected);
             let expected = match (class, emu_injected) {
                 ("fault", true) | ("budget", true) => Some(HealthKind::EmuFault),
                 ("fault", false) => Some(HealthKind::SandboxFault),
@@ -41,8 +46,9 @@ fn every_exit_class_has_a_total_classification() {
                 other => panic!("unhandled exit class {other:?}"),
             };
             assert_eq!(
-                kind, expected,
-                "degraded_kind({class:?}, emu_injected={emu_injected}) drifted"
+                degraded_kind(&exit, emu_injected),
+                expected,
+                "degraded_kind({exit:?}, emu_injected={emu_injected}) drifted"
             );
         }
     }
@@ -52,10 +58,14 @@ fn every_exit_class_has_a_total_classification() {
 /// that exits cleanly or runs out the clock is never blamed on chaos.
 #[test]
 fn emu_faults_never_reclassify_healthy_exits() {
-    assert_eq!(degraded_kind("exited", true), None);
-    assert_eq!(degraded_kind("deadline", true), None);
-    assert_eq!(degraded_kind("fault", true), Some(HealthKind::EmuFault));
-    assert_eq!(degraded_kind("budget", true), Some(HealthKind::EmuFault));
+    assert_eq!(degraded_kind(&ExitReason::Exited(0), true), None);
+    assert_eq!(degraded_kind(&ExitReason::Deadline, true), None);
+    let fault = ExitReason::Fault("segfault @0x0".to_string());
+    assert_eq!(degraded_kind(&fault, true), Some(HealthKind::EmuFault));
+    assert_eq!(
+        degraded_kind(&ExitReason::Budget, true),
+        Some(HealthKind::EmuFault)
+    );
 }
 
 /// D-Health rows arrive in `(day, sample-id)` merge order at every

@@ -59,23 +59,19 @@ impl EngineModel {
             rng.gen_range(12..56)
         }
     }
-
-    /// The paper's corroboration rule.
-    pub fn passes_bar(count: u32) -> bool {
-        count >= 5
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The paper's corroboration rule: at least five engines flag it.
     #[test]
     fn most_malware_passes_the_bar() {
         let m = EngineModel::new(3);
         let n = 2000u64;
         let pass = (0..n)
-            .filter(|&id| EngineModel::passes_bar(m.detections_for_malware(0, id)))
+            .filter(|&id| m.detections_for_malware(0, id) >= 5)
             .count();
         let rate = pass as f64 / n as f64;
         assert!((0.95..1.0).contains(&rate), "{rate}");
@@ -98,11 +94,5 @@ mod tests {
         let a = m.detections_for_malware(3, 41);
         let _ = m.detections_for_malware(5, 12);
         assert_eq!(a, m.detections_for_malware(3, 41));
-    }
-
-    #[test]
-    fn bar_is_five() {
-        assert!(!EngineModel::passes_bar(4));
-        assert!(EngineModel::passes_bar(5));
     }
 }

@@ -77,15 +77,6 @@ pub const EAGAIN: u32 = 11;
 /// memory: family(u16)=AF_INET, port(u16 BE), addr(u32 BE), zero pad to 16.
 pub const SOCKADDR_LEN: u32 = 16;
 
-/// Encode a sockaddr_in the way the guest stub lays it out.
-pub fn encode_sockaddr(ip: u32, port: u16) -> [u8; 16] {
-    let mut b = [0u8; 16];
-    b[0..2].copy_from_slice(&(AF_INET as u16).to_be_bytes());
-    b[2..4].copy_from_slice(&port.to_be_bytes());
-    b[4..8].copy_from_slice(&ip.to_be_bytes());
-    b
-}
-
 /// Decode a guest sockaddr_in (family, port, ip).
 pub fn decode_sockaddr(b: &[u8]) -> Option<(u16, u16, u32)> {
     if b.len() < 8 {
@@ -103,7 +94,9 @@ mod tests {
 
     #[test]
     fn sockaddr_roundtrip() {
-        let b = encode_sockaddr(0x0a010203, 8080);
+        // AF_INET, port 8080, 10.1.2.3, zero pad — as the guest stub
+        // lays it out.
+        let b = [0, 2, 0x1f, 0x90, 10, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0];
         let (fam, port, ip) = decode_sockaddr(&b).unwrap();
         assert_eq!(fam, AF_INET as u16);
         assert_eq!(port, 8080);

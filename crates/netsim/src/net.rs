@@ -775,21 +775,6 @@ impl Network {
         steps - 1
     }
 
-    /// Run until the queue is empty or `max_events` processed; returns
-    /// events processed. Useful for "settle" phases in tests.
-    pub fn run_idle(&mut self, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events {
-            let Some(ev) = self.queue.pop_due(SimTime(u64::MAX)) else {
-                break;
-            };
-            self.now = ev.at.max(self.now);
-            self.dispatch(ev);
-            n += 1;
-        }
-        n
-    }
-
     fn dispatch(&mut self, ev: QueuedEvent) {
         match ev.kind {
             EventKind::Deliver => {
@@ -1317,7 +1302,8 @@ mod tests {
 
         // With nothing pending, a limit between boundaries overshoots to
         // the next one.
-        net.run_idle(u64::MAX);
+        net.run_for(SimDuration::from_secs(60));
+        assert_eq!(net.queue.len(), 0, "settled");
         let t1 = net.now();
         assert_eq!(net.run_steps(step, t1 + SimDuration::from_millis(250)), 2);
         assert_eq!(net.now(), t1 + step.saturating_mul(3));

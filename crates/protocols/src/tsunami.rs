@@ -22,13 +22,6 @@ pub fn ping_line(token: &str) -> String {
     format!("PING :{token}\r\n")
 }
 
-/// Bot's answer to a `PING`.
-pub fn pong_for(line: &str) -> Option<String> {
-    let rest = line.trim().strip_prefix("PING")?.trim();
-    let token = rest.strip_prefix(':').unwrap_or(rest);
-    Some(format!("PONG :{token}\r\n"))
-}
-
 /// Server's welcome numerics after registration.
 pub fn welcome_lines(nick: &str) -> String {
     format!(":irc 001 {nick} :Welcome to the botnet\r\n")
@@ -50,16 +43,6 @@ mod tests {
         assert!(lines.starts_with("NICK mipsbot42\r\n"));
         assert!(lines.contains("USER mipsbot42"));
         assert!(is_registration(lines.as_bytes()));
-    }
-
-    #[test]
-    fn pong_echoes_token() {
-        assert_eq!(
-            pong_for("PING :abc123").as_deref(),
-            Some("PONG :abc123\r\n")
-        );
-        assert_eq!(pong_for("PING xyz").as_deref(), Some("PONG :xyz\r\n"));
-        assert!(pong_for("PRIVMSG #c :hi").is_none());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use malnet_wire::pcap;
 
 use crate::faults::{EmuFaultTally, EmuFaults};
 use crate::process::{BotProcess, ExitReason, Image, DEFAULT_FD_CAP};
-use crate::services::{FakeVictim, InetSimHttp, VictimCapture, VictimLog};
+use crate::services::{FakeVictim, InetSimHttp, VictimLog};
 
 /// The sinkhole address the wildcard DNS hands out in contained mode.
 pub const DNS_SINKHOLE: Ipv4Addr = Ipv4Addr::new(100, 64, 99, 99);
@@ -90,7 +90,8 @@ impl Default for SandboxConfig {
     }
 }
 
-/// One exploit payload captured by the handshaker.
+/// One exploit payload captured by the handshaker: the first payload a
+/// fake victim received on a connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapturedExploit {
     /// Victim address that was impersonated.
@@ -99,8 +100,6 @@ pub struct CapturedExploit {
     pub port: u16,
     /// The exploit payload bytes.
     pub payload: Vec<u8>,
-    /// Capture time (µs).
-    pub ts_micros: u64,
 }
 
 /// Everything a run produces. All analysis downstream of the sandbox
@@ -359,19 +358,7 @@ impl Sandbox {
         self.net.run_for(SimDuration::from_millis(500));
         let pcap = self.net.stop_capture(self.cfg.bot_ip);
         self.net.start_capture(self.cfg.bot_ip);
-        let exploits: Vec<CapturedExploit> = self
-            .victim_log
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|v: &VictimCapture| CapturedExploit {
-                victim: v.victim,
-                port: v.port,
-                payload: v.payload.clone(),
-                ts_micros: v.ts_micros,
-            })
-            .collect();
-        self.victim_log.lock().unwrap().clear();
+        let exploits = std::mem::take(&mut *self.victim_log.lock().unwrap());
         self.tel_handles.runs.incr();
         self.tel_handles.instructions.add(instructions);
         self.tel_handles.syscalls.add(syscalls);

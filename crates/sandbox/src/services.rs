@@ -7,21 +7,10 @@ use std::sync::{Arc, Mutex};
 use malnet_netsim::net::{Service, ServiceCtx};
 use malnet_netsim::stack::SockEvent;
 
-/// One exploit payload captured by a fake victim.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VictimCapture {
-    /// The impersonated victim address.
-    pub victim: Ipv4Addr,
-    /// The destination port the malware attacked.
-    pub port: u16,
-    /// The first payload the malware sent after the handshake.
-    pub payload: Vec<u8>,
-    /// Capture time (µs since epoch).
-    pub ts_micros: u64,
-}
+use crate::sandbox::CapturedExploit;
 
 /// Shared collector the sandbox reads after a run.
-pub type VictimLog = Arc<Mutex<Vec<VictimCapture>>>;
+pub type VictimLog = Arc<Mutex<Vec<CapturedExploit>>>;
 
 /// A fake victim: completes the TCP handshake on its ports, records the
 /// first payload of each connection, sends a bland acknowledgement, and
@@ -59,11 +48,10 @@ impl Service for FakeVictim {
                 if let std::collections::btree_map::Entry::Vacant(e) = self.got.entry(sock) {
                     e.insert(true);
                     let port = ctx.stack.local_port(sock).unwrap_or(0);
-                    self.log.lock().unwrap().push(VictimCapture {
+                    self.log.lock().unwrap().push(CapturedExploit {
                         victim: self.ip,
                         port,
                         payload: data,
-                        ts_micros: ctx.now.as_micros(),
                     });
                     // A minimal HTTP-ish acknowledgement keeps chatty
                     // exploits talking; then close like an embedded httpd.

@@ -145,11 +145,6 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// Is this handle recording?
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Resolve (or create) a counter handle by name. Resolve once and
     /// reuse the handle on hot paths.
     pub fn counter(&self, name: &str) -> Counter {
@@ -640,7 +635,6 @@ mod tests {
     #[test]
     fn disabled_is_inert_and_free_of_state() {
         let tel = Telemetry::disabled();
-        assert!(!tel.is_enabled());
         let c = tel.counter("x");
         c.add(5);
         assert_eq!(c.get(), 0);

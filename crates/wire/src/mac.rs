@@ -7,8 +7,6 @@ use std::fmt;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
     /// The all-zero address, used as a placeholder by the simulator.
     pub const ZERO: MacAddr = MacAddr([0; 6]);
 
@@ -18,16 +16,6 @@ impl MacAddr {
         let b = id.to_be_bytes();
         // 0x02 prefix = locally administered, unicast.
         MacAddr([0x02, 0x4d, b[0], b[1], b[2], b[3]])
-    }
-
-    /// True if this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True if the multicast (group) bit is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
     }
 }
 
@@ -58,13 +46,7 @@ mod tests {
         let c = MacAddr::from_host_id(8);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert!(!a.is_multicast());
-        assert!(!a.is_broadcast());
-    }
-
-    #[test]
-    fn broadcast_properties() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
+        // A unicast address: the group bit of the first octet is clear.
+        assert_eq!(a.0[0] & 0x01, 0);
     }
 }
